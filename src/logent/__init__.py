@@ -13,10 +13,9 @@ from .channels import (BlockMatrix, BoundReport, CouplingModel, ExchangeReport,
                        apply_channel, block_decompose, completeness_defect, couple,
                        embed_reference, exchange_entropy, extract_kraus,
                        off_block_bound, rotate_env_init, verify_entropy_bound)
-from .classical import (bridge_check, dit_count, logical_entropy_dist,
+from .classical import (bridge_check, bridge_entropies, dit_count, logical_entropy_dist,
                         partition_entropy, validate_distribution)
-from .linalg import (dagger, frobenius_inner, hermitian_eigenvalues, kron,
-                     matmul, partial_trace, trace)
+from .linalg import partial_trace
 from .measurement import (entropy_gain, entropy_nondecreasing, project,
                           projectors_from_partition, purity_decomposition,
                           validate_partition, validate_projectors)
@@ -37,10 +36,9 @@ __all__ = [
     "apply_channel", "block_decompose", "completeness_defect", "couple",
     "embed_reference", "exchange_entropy", "extract_kraus", "off_block_bound",
     "rotate_env_init", "verify_entropy_bound",
-    "bridge_check", "dit_count", "logical_entropy_dist", "partition_entropy",
-    "validate_distribution",
-    "dagger", "frobenius_inner", "hermitian_eigenvalues", "kron", "matmul",
-    "partial_trace", "trace",
+    "bridge_check", "bridge_entropies", "dit_count", "logical_entropy_dist",
+    "partition_entropy", "validate_distribution",
+    "partial_trace",
     "entropy_gain", "entropy_nondecreasing", "project",
     "projectors_from_partition", "purity_decomposition", "validate_partition",
     "validate_projectors",

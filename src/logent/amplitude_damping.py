@@ -86,13 +86,16 @@ def closed_form_block_purities(a: float, b: complex, c: float, theta: float) -> 
 class ClosedFormReport:
     """Numeric pipeline vs closed forms for one (a, b, c, theta).
 
-    entropy_matches_closed_form must always hold; bound_holds and
-    projected_equals_bound are only guaranteed under hypothesis_pure.
+    bound is the closed form, numeric_bound the coupled state's off-block
+    weight (they agree within 1e-10). entropy_matches_closed_form must
+    always hold; bound_holds and projected_equals_bound are only
+    guaranteed under hypothesis_pure.
     """
 
     entropy: float
     closed_form_entropy: float
     bound: float
+    numeric_bound: float
     projected_entropy: float
     block_purities: tuple
     hypothesis_pure: bool
@@ -121,6 +124,7 @@ def verify_closed_forms(a: float, b: complex, c: float, theta: float) -> ClosedF
         entropy=entropy,
         closed_form_entropy=cf_entropy,
         bound=cf_bound,
+        numeric_bound=numeric_bound,
         projected_entropy=projected,
         block_purities=block_pur,
         hypothesis_pure=purity(rho) >= 1.0 - DEFAULT_TOL,

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, as_complex_matrix, partial_trace
+from .linalg import DEFAULT_TOL, as_complex_matrix, hermiticity_defect, partial_trace
 from .states import logical_entropy, purity, validate_density
 
 
@@ -67,7 +67,7 @@ class CouplingModel:
         if u.shape != (n, n):
             raise ValueError(f"dimension mismatch: unitary is {u.shape}, dims imply {(n, n)}")
         defect = float(np.max(np.abs(u @ u.conj().T - np.eye(n))))
-        if defect > DEFAULT_TOL:
+        if not defect <= DEFAULT_TOL:
             raise ValueError(f"matrix is not unitary: U U† deviates from I by {defect:.3e}")
         if not 0 <= self.env_init < self.dim_e:
             raise ValueError(f"env_init {self.env_init} outside [0, {self.dim_e})")
@@ -152,21 +152,21 @@ class BlockMatrix:
         return out
 
 
-def block_decompose(joint, dim_s: int, dim_e: int) -> BlockMatrix:
+def block_decompose(joint, dim_s: int, dim_e: int, tol: float = DEFAULT_TOL) -> BlockMatrix:
     """Cut a joint density matrix into its environment-indexed blocks.
 
-    The source must look like a density matrix (Hermitian within 1e-9,
-    unit trace within 1e-9); B[j][i] is then the dagger of B[i][j].
+    The source must look like a density matrix (Hermitian within tol,
+    unit trace within tol); B[j][i] is then the dagger of B[i][j].
     """
     joint = as_complex_matrix(joint)
     n = dim_s * dim_e
     if joint.shape != (n, n):
         raise ValueError(f"dimension mismatch: expected {(n, n)}, got {joint.shape}")
-    defect = float(np.max(np.abs(joint - joint.conj().T)))
-    if defect > DEFAULT_TOL:
+    defect = hermiticity_defect(joint)
+    if not defect <= tol:
         raise ValueError(f"joint state not Hermitian: defect {defect:.3e}")
     tr_dev = abs(complex(np.trace(joint)) - 1.0)
-    if tr_dev > DEFAULT_TOL:
+    if not tr_dev <= tol:
         raise ValueError(f"joint state trace deviates from 1 by {tr_dev:.3e}")
     rows = []
     for i in range(dim_e):
@@ -217,7 +217,7 @@ def verify_entropy_bound(rho, model: CouplingModel, tol: float = DEFAULT_TOL) ->
     rho = validate_density(rho, tol=tol)
     joint = couple(rho, model)
     out = partial_trace(joint, model.dim_e, model.dim_s, keep="b")
-    blocks = block_decompose(joint, model.dim_s, model.dim_e)
+    blocks = block_decompose(joint, model.dim_s, model.dim_e, tol=tol)
     bound = off_block_bound(blocks)
     entropy = logical_entropy(out)
     projected = logical_entropy(blocks.diagonal_projection())
@@ -288,7 +288,8 @@ class ExchangeReport:
 def exchange_entropy(rho, model: CouplingModel, tol: float = DEFAULT_TOL) -> ExchangeReport:
     """Entropy the environment gains, measured through a reference system.
 
-    rho is purified against a reference R of dimension rank(rho); the
+    rho is purified against a reference R of dimension rank(rho), the
+    number of eigenvalues above tol (the rest are dropped); the
     coupling acts on the S side of the pure state |RS>, and the reported
     entropy is that of the surviving R (x) S state after tracing out E.
     Because |RS> is pure, the off-block bound applies unconditionally.
@@ -301,7 +302,7 @@ def exchange_entropy(rho, model: CouplingModel, tol: float = DEFAULT_TOL) -> Exc
     d = rho.shape[0]
     evals, evecs = np.linalg.eigh(rho)
     keep = evals > tol
-    lam = evals[keep]
+    lam = evals[keep] / np.sum(evals[keep])  # renormalized so |RS> keeps unit norm
     vecs = evecs[:, keep]
     dim_r = int(lam.shape[0])
     # |RS> = sum_k sqrt(lam_k) |k>_R |v_k>_S, reference index slowest.

@@ -12,7 +12,7 @@ import numpy as np
 
 from .linalg import DEFAULT_TOL
 from .measurement import project, projectors_from_partition, validate_partition
-from .states import logical_entropy
+from .states import _rng, logical_entropy
 
 _AGREE = 1e-12  # two independently computed routes must agree this tightly
 
@@ -25,7 +25,7 @@ def validate_distribution(probs, tol: float = DEFAULT_TOL) -> np.ndarray:
     if np.any(p < 0):
         raise ValueError(f"negative probability {float(p.min()):.3e}")
     total = float(p.sum())
-    if abs(total - 1.0) > tol:
+    if not abs(total - 1.0) <= tol:
         raise ValueError(f"probabilities sum to {total:.12g}, deviating from 1 beyond {tol:.1e}")
     return p / total
 
@@ -73,30 +73,35 @@ def dit_count(probs, blocks) -> float:
     return total
 
 
-def bridge_check(probs, blocks, tol: float = 1e-10) -> bool:
-    """Classical partition entropy == quantum post-measurement entropy.
+def bridge_entropies(probs, blocks) -> tuple[float, float]:
+    """(partition entropy, post-measurement entropy) of (p, blocks).
 
-    Encodes p as the pure state sum_k sqrt(p_k)|k>, measures the
-    partition's projectors, and compares h of the result with the
-    partition entropy of (p, blocks).
+    The quantum side encodes p as the pure state sum_k sqrt(p_k)|k>,
+    measures the partition's projectors and takes h of the result. p is
+    used exactly as given (partition_entropy validates it); pass it
+    through validate_distribution first to renormalize.
     """
-    p = validate_distribution(probs)
-    n = p.shape[0]
-    blocks = validate_partition(blocks, n)
+    h_classical = partition_entropy(probs, blocks)
+    p = np.asarray(probs, dtype=float).reshape(-1)
     amps = np.sqrt(p).astype(np.complex128)
-    rho = np.outer(amps, amps.conj())
-    measured = project(rho, projectors_from_partition(blocks, n))
-    return abs(logical_entropy(measured) - partition_entropy(p, blocks)) <= tol
+    measured = project(np.outer(amps, amps.conj()), projectors_from_partition(blocks, p.shape[0]))
+    return h_classical, logical_entropy(measured)
+
+
+def bridge_check(probs, blocks, tol: float = 1e-10) -> bool:
+    """Classical partition entropy == quantum post-measurement entropy,
+    within tol, for the renormalized distribution."""
+    h_classical, h_quantum = bridge_entropies(validate_distribution(probs), blocks)
+    return abs(h_quantum - h_classical) <= tol
 
 
 def random_distribution(n: int, seed) -> np.ndarray:
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    return rng.dirichlet(np.ones(n))
+    return _rng(seed).dirichlet(np.ones(n))
 
 
 def random_partition(n: int, seed) -> list[list[int]]:
     """Uniformly labeled partition of range(n) with a random block count."""
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = _rng(seed)
     k = int(rng.integers(1, n + 1))
     labels = rng.integers(0, k, size=n)
     blocks = [list(np.nonzero(labels == c)[0]) for c in range(k)]

@@ -21,12 +21,11 @@ from math import pi
 import numpy as np
 
 from . import amplitude_damping
-from .channels import (apply_channel, block_decompose, completeness_defect, couple,
-                       exchange_entropy, extract_kraus, off_block_bound,
+from .channels import (apply_channel, completeness_defect, exchange_entropy, extract_kraus,
                        verify_entropy_bound)
-from .classical import partition_entropy, validate_distribution
-from .fuzz import run_suite
-from .measurement import project, projectors_from_partition, purity_decomposition
+from .classical import bridge_entropies, validate_distribution
+from .fuzz import SUITES, run_suite
+from .measurement import projectors_from_partition, purity_decomposition
 from .mixing import mixing_bound_report
 from .serialization import (distribution_from_json, dump_json, load_json,
                             matrix_from_json, matrix_to_json, model_from_json,
@@ -92,8 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, default=64)
 
     p = sub.add_parser("fuzz", help="randomized verification campaigns")
-    p.add_argument("--suite", choices=("theorem", "prop1", "prop2", "schmidt", "bridge", "all"),
-                   default="all")
+    p.add_argument("--suite", choices=SUITES + ("all",), default="all")
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--dim-s", type=int, default=6,
                    help="primary dimension bound; trials draw from 2..max (1 stays 1)")
@@ -206,13 +204,9 @@ def _cmd_sweep(parser, args) -> tuple[int, str]:
     buf.write("theta,entropy,bound,closed_form_entropy,closed_form_bound,slack\n")
     for theta in np.linspace(args.theta_start, args.theta_end, args.steps):
         theta = float(theta)
-        model = amplitude_damping.coupling_model(theta)
-        out = apply_channel(rho, extract_kraus(model))
-        entropy = logical_entropy(out)
-        bound = off_block_bound(block_decompose(couple(rho, model), 2, 2))
-        cf_entropy = 1.0 - amplitude_damping.closed_form_purity(a, b, c, theta)
-        cf_bound = amplitude_damping.closed_form_bound(a, b, c, theta)
-        row = [theta, entropy, bound, cf_entropy, cf_bound, bound - entropy]
+        r = amplitude_damping.verify_closed_forms(a, b, c, theta)
+        row = [theta, r.entropy, r.numeric_bound, r.closed_form_entropy, r.bound,
+               r.numeric_bound - r.entropy]
         buf.write(",".join(repr(x) for x in row) + "\n")
     return EXIT_OK, buf.getvalue()
 
@@ -258,11 +252,7 @@ def _cmd_prop2(parser, args) -> tuple[int, dict]:
 def _cmd_bridge(parser, args) -> tuple[int, dict]:
     probs = validate_distribution(distribution_from_json(load_json(args.dist)), tol=args.tol)
     blocks = partition_from_json(load_json(args.partition))
-    n = probs.shape[0]
-    h_classical = partition_entropy(probs, blocks)
-    amps = np.sqrt(probs).astype(np.complex128)
-    measured = project(np.outer(amps, amps.conj()), projectors_from_partition(blocks, n))
-    h_quantum = logical_entropy(measured)
+    h_classical, h_quantum = bridge_entropies(probs, blocks)
     diff = abs(h_classical - h_quantum)
     agree = diff <= 1e-10
     payload = {"partition_entropy": h_classical, "post_measurement_entropy": h_quantum,
@@ -292,12 +282,12 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         code, payload = _COMMANDS[args.command](parser, args)
+        text = payload if isinstance(payload, str) else _render(payload, args)
     except SystemExit as exc:  # parser.error inside a command
         return int(exc.code or 0)
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"logent: error: {exc}", file=sys.stderr)
         return EXIT_FAILURE
-    text = payload if isinstance(payload, str) else _render(payload, args)
     _emit(text, args)
     return code
 

@@ -21,16 +21,16 @@ from __future__ import annotations
 import numpy as np
 
 from .channels import CouplingModel, verify_entropy_bound
-from .classical import partition_entropy, random_distribution, random_partition
-from .linalg import partial_trace
-from .measurement import (entropy_gain, entropy_nondecreasing, project,
-                          projectors_from_partition, purity_decomposition)
+from .classical import bridge_entropies, random_distribution, random_partition
+from .measurement import (entropy_gain, entropy_nondecreasing, projectors_from_partition,
+                          purity_decomposition)
 from .mixing import mixing_bound_report, random_ensemble, schmidt_entropy_pair
 from .serialization import matrix_to_json, model_to_json
-from .states import (density_from_pure, logical_entropy, purity,
-                     random_density, random_pure_state, random_unitary)
+from .states import (density_from_pure, purity, random_density, random_pure_state,
+                     random_unitary)
 
 _MAX_RECORDED = 3  # failing trials kept in the summary, with full inputs
+_MAX_COMPONENTS = 6  # largest ensemble drawn by the mixing suite
 
 
 def _dim(rng: np.random.Generator, dim_max: int) -> int:
@@ -41,6 +41,29 @@ def _dim(rng: np.random.Generator, dim_max: int) -> int:
     return int(rng.integers(lo, dim_max + 1))
 
 
+def _campaign(suite: str, trials: int, seed: int, worst0: float, pick, trial) -> dict:
+    """Run trial(t, rng) for t < trials on rng = default_rng(seed + t).
+
+    A trial returns (values, failed_checks, inputs_thunk): values are
+    folded into the running worst with pick (min for slacks, max for
+    residuals), and inputs_thunk builds the JSON inputs of a failing
+    trial, called only for the first _MAX_RECORDED failures.
+    """
+    failures = 0
+    worst = worst0
+    recorded = []
+    for t in range(trials):
+        values, bad, inputs = trial(t, np.random.default_rng(seed + t))
+        worst = pick(worst, *values)
+        if bad:
+            failures += 1
+            if len(recorded) < _MAX_RECORDED:
+                recorded.append({"trial": t, "seed": seed + t, "checks": bad, **inputs()})
+    return {"suite": suite, "trials": trials, "failures": failures,
+            "worst_slack": None if trials == 0 else float(worst),
+            "seed": seed, "failed_trials": recorded}
+
+
 def fuzz_bound(trials: int, dim_s_max: int, dim_e_max: int, seed: int) -> dict:
     """Off-block bound on Haar-random couplings of random pure states.
 
@@ -48,17 +71,12 @@ def fuzz_bound(trials: int, dim_s_max: int, dim_e_max: int, seed: int) -> dict:
     equals the bound within 1e-9, and the output entropy does not exceed
     the projected entropy plus 1e-9.
     """
-    failures = 0
-    worst = np.inf
-    recorded = []
-    for t in range(trials):
-        rng = np.random.default_rng(seed + t)
+    def trial(t, rng):
         ds = _dim(rng, dim_s_max)
         de = _dim(rng, dim_e_max)
         model = CouplingModel(random_unitary(ds * de, rng), dim_s=ds, dim_e=de)
-        psi = random_pure_state(ds, rng)
-        report = verify_entropy_bound(density_from_pure(psi), model)
-        worst = min(worst, report.slack)
+        rho = density_from_pure(random_pure_state(ds, rng))
+        report = verify_entropy_bound(rho, model)
         bad = []
         if report.slack < -1e-9:
             bad.append(f"slack {report.slack!r} < -1e-9")
@@ -66,15 +84,10 @@ def fuzz_bound(trials: int, dim_s_max: int, dim_e_max: int, seed: int) -> dict:
             bad.append(f"projected {report.projected_entropy!r} != bound {report.bound!r}")
         if report.entropy > report.projected_entropy + 1e-9:
             bad.append(f"entropy {report.entropy!r} > projected {report.projected_entropy!r}")
-        if bad:
-            failures += 1
-            if len(recorded) < _MAX_RECORDED:
-                recorded.append({"trial": t, "seed": seed + t, "checks": bad,
-                                 "state": matrix_to_json(density_from_pure(psi)),
-                                 "model": model_to_json(model)})
-    return {"suite": "theorem", "trials": trials, "failures": failures,
-            "worst_slack": None if trials == 0 else float(worst),
-            "seed": seed, "failed_trials": recorded}
+        return ((report.slack,), bad,
+                lambda: {"state": matrix_to_json(rho), "model": model_to_json(model)})
+
+    return _campaign("theorem", trials, seed, np.inf, min, trial)
 
 
 def fuzz_measurement(trials: int, dim_max: int, seed: int) -> dict:
@@ -85,11 +98,7 @@ def fuzz_measurement(trials: int, dim_max: int, seed: int) -> dict:
     purity identity within 1e-10, entropy gain == off-block weight within
     1e-10, entropy never decreases within 1e-9.
     """
-    failures = 0
-    worst = 0.0
-    recorded = []
-    for t in range(trials):
-        rng = np.random.default_rng(seed + t)
+    def trial(t, rng):
         dim = _dim(rng, dim_max)
         if t % 2 == 0:
             rho = random_density(dim, rng)
@@ -101,7 +110,7 @@ def fuzz_measurement(trials: int, dim_max: int, seed: int) -> dict:
         residual = abs(purity(rho) - (projected_purity + mass))
         gain = entropy_gain(rho, ps)
         gain_residual = abs(gain - mass)
-        worst = max(worst, residual, gain_residual)
+        values = [residual, gain_residual]
         bad = []
         if residual > 1e-10:
             bad.append(f"purity identity residual {residual!r}")
@@ -111,121 +120,83 @@ def fuzz_measurement(trials: int, dim_max: int, seed: int) -> dict:
             bad.append("entropy decreased under measurement")
         if t % 2 == 1:
             pure_residual = abs((1.0 - projected_purity) - mass)
-            worst = max(worst, pure_residual)
+            values.append(pure_residual)
             if pure_residual > 1e-10:
                 bad.append(f"pure-state projected entropy residual {pure_residual!r}")
-        if bad:
-            failures += 1
-            if len(recorded) < _MAX_RECORDED:
-                recorded.append({"trial": t, "seed": seed + t, "checks": bad,
-                                 "state": matrix_to_json(rho),
-                                 "partition": {"blocks": blocks}})
-    return {"suite": "prop1", "trials": trials, "failures": failures,
-            "worst_slack": None if trials == 0 else float(worst),
-            "seed": seed, "failed_trials": recorded}
+        return values, bad, lambda: {"state": matrix_to_json(rho),
+                                     "partition": {"blocks": blocks}}
+
+    return _campaign("prop1", trials, seed, 0.0, max, trial)
 
 
-def fuzz_mixing(trials: int, dim_max: int, seed: int, max_components: int = 6) -> dict:
+def fuzz_mixing(trials: int, dim_max: int, seed: int) -> dict:
     """Mixing bound on random ensembles (pure members on even trials,
     mixed on odd; slack >= -1e-9 either way)."""
-    failures = 0
-    worst = np.inf
-    recorded = []
-    for t in range(trials):
-        rng = np.random.default_rng(seed + t)
+    def trial(t, rng):
         dim = _dim(rng, dim_max)
-        n = int(rng.integers(2, max_components + 1))
+        n = int(rng.integers(2, _MAX_COMPONENTS + 1))
         ens = random_ensemble(dim, n, rng, pure=(t % 2 == 0))
-        report = mixing_bound_report(ens)
-        worst = min(worst, report.slack)
-        if report.slack < -1e-9:
-            failures += 1
-            if len(recorded) < _MAX_RECORDED:
-                recorded.append({"trial": t, "seed": seed + t,
-                                 "checks": [f"slack {report.slack!r} < -1e-9"],
-                                 "ensemble": {"weights": [float(w) for w in ens.weights],
-                                              "states": [matrix_to_json(s) for s in ens.states]}})
-    return {"suite": "prop2", "trials": trials, "failures": failures,
-            "worst_slack": None if trials == 0 else float(worst),
-            "seed": seed, "failed_trials": recorded}
+        slack = mixing_bound_report(ens).slack
+        bad = [f"slack {slack!r} < -1e-9"] if slack < -1e-9 else []
+        return (slack,), bad, lambda: {
+            "ensemble": {"weights": [float(w) for w in ens.weights],
+                         "states": [matrix_to_json(s) for s in ens.states]}}
+
+    return _campaign("prop2", trials, seed, np.inf, min, trial)
 
 
 def fuzz_schmidt(trials: int, dim_a_max: int, dim_b_max: int, seed: int) -> dict:
     """Reduced-state entropies of random bipartite pure states agree
     within 1e-10, and each equals 1 - purity of its reduction."""
-    failures = 0
-    worst = 0.0
-    recorded = []
-    for t in range(trials):
-        rng = np.random.default_rng(seed + t)
+    def trial(t, rng):
         da = _dim(rng, dim_a_max)
         db = _dim(rng, dim_b_max)
         psi = random_pure_state(da * db, rng)
         h_a, h_b = schmidt_entropy_pair(psi, da, db)
         diff = abs(h_a - h_b)
-        worst = max(worst, diff)
-        if diff > 1e-10:
-            failures += 1
-            if len(recorded) < _MAX_RECORDED:
-                recorded.append({"trial": t, "seed": seed + t,
-                                 "checks": [f"reduction entropies differ by {diff!r}"],
-                                 "psi": matrix_to_json(psi.reshape(-1, 1)),
-                                 "dims": [da, db]})
-    return {"suite": "schmidt", "trials": trials, "failures": failures,
-            "worst_slack": None if trials == 0 else float(worst),
-            "seed": seed, "failed_trials": recorded}
+        bad = [f"reduction entropies differ by {diff!r}"] if diff > 1e-10 else []
+        return (diff,), bad, lambda: {"psi": matrix_to_json(psi.reshape(-1, 1)),
+                                      "dims": [da, db]}
+
+    return _campaign("schmidt", trials, seed, 0.0, max, trial)
 
 
 def fuzz_bridge(trials: int, n_max: int, seed: int) -> dict:
     """Classical partition entropy vs quantum measurement entropy on the
     amplitude encoding, within 1e-10."""
-    failures = 0
-    worst = 0.0
-    recorded = []
-    for t in range(trials):
-        rng = np.random.default_rng(seed + t)
+    def trial(t, rng):
         n = _dim(rng, n_max)
         probs = random_distribution(n, rng)
         blocks = random_partition(n, rng)
-        amps = np.sqrt(probs).astype(np.complex128)
-        rho = np.outer(amps, amps.conj())
-        measured = project(rho, projectors_from_partition(blocks, n))
-        diff = abs(logical_entropy(measured) - partition_entropy(probs, blocks))
-        worst = max(worst, diff)
-        if diff > 1e-10:
-            failures += 1
-            if len(recorded) < _MAX_RECORDED:
-                recorded.append({"trial": t, "seed": seed + t,
-                                 "checks": [f"bridge residual {diff!r}"],
-                                 "distribution": {"probs": [float(p) for p in probs]},
-                                 "partition": {"blocks": blocks}})
-    return {"suite": "bridge", "trials": trials, "failures": failures,
-            "worst_slack": None if trials == 0 else float(worst),
-            "seed": seed, "failed_trials": recorded}
+        h_classical, h_quantum = bridge_entropies(probs, blocks)
+        diff = abs(h_quantum - h_classical)
+        bad = [f"bridge residual {diff!r}"] if diff > 1e-10 else []
+        return (diff,), bad, lambda: {"distribution": {"probs": [float(p) for p in probs]},
+                                      "partition": {"blocks": blocks}}
+
+    return _campaign("bridge", trials, seed, 0.0, max, trial)
 
 
-SUITES = ("theorem", "prop1", "prop2", "schmidt", "bridge")
+# Suite name -> runner on the CLI's knobs: dim_s_max bounds the primary dimension
+# (system side, measured dimension, distribution size), dim_e_max the secondary
+# one. Suites are looked up by name when called, so a wrapper put on the module
+# attribute sees every call.
+_RUNNERS = {
+    "theorem": lambda n, ds, de, seed: fuzz_bound(n, ds, de, seed),
+    "prop1": lambda n, ds, de, seed: fuzz_measurement(n, ds, seed),
+    "prop2": lambda n, ds, de, seed: fuzz_mixing(n, ds, seed),
+    "schmidt": lambda n, ds, de, seed: fuzz_schmidt(n, ds, de, seed),
+    "bridge": lambda n, ds, de, seed: fuzz_bridge(n, ds, seed),
+}
+SUITES = tuple(_RUNNERS)
 
 
 def run_suite(suite: str, trials: int, dim_s_max: int, dim_e_max: int, seed: int) -> dict:
-    """Dispatch one suite (or "all") with the CLI's dimension knobs.
-
-    dim_s_max is the primary dimension bound (system side, measured
-    dimension, distribution size); dim_e_max the secondary one where a
-    suite has two.
-    """
-    if suite == "theorem":
-        return fuzz_bound(trials, dim_s_max, dim_e_max, seed)
-    if suite == "prop1":
-        return fuzz_measurement(trials, dim_s_max, seed)
-    if suite == "prop2":
-        return fuzz_mixing(trials, dim_s_max, seed)
-    if suite == "schmidt":
-        return fuzz_schmidt(trials, dim_s_max, dim_e_max, seed)
-    if suite == "bridge":
-        return fuzz_bridge(trials, dim_s_max, seed)
+    """Run one suite, or every suite for "all", with the CLI's dimension knobs."""
+    if suite in _RUNNERS:
+        return _RUNNERS[suite](trials, dim_s_max, dim_e_max, seed)
     if suite == "all":
-        subs = [run_suite(s, trials, dim_s_max, dim_e_max, seed) for s in SUITES]
+        subs = [_RUNNERS[s](trials, dim_s_max, dim_e_max, seed) for s in SUITES]
         slacks = [r["worst_slack"] for r in subs
                   if r["suite"] in ("theorem", "prop2") and r["worst_slack"] is not None]
         return {"suite": "all",

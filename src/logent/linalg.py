@@ -19,61 +19,12 @@ def as_complex_matrix(m) -> np.ndarray:
     return out
 
 
-def matmul(a, b) -> np.ndarray:
-    """Matrix product with an explicit shape check."""
-    a = as_complex_matrix(a)
-    b = as_complex_matrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"dimension mismatch: cannot multiply {a.shape} by {b.shape}")
-    return a @ b
-
-
-def dagger(m) -> np.ndarray:
-    """Conjugate transpose."""
-    return as_complex_matrix(m).conj().T
-
-
-def trace(m) -> complex:
-    """Trace of a square matrix."""
-    m = as_complex_matrix(m)
-    if m.shape[0] != m.shape[1]:
-        raise ValueError(f"trace needs a square matrix, got {m.shape}")
-    return complex(np.trace(m))
-
-
-def kron(a, b) -> np.ndarray:
-    """Kronecker product, first factor slowest."""
-    return np.kron(as_complex_matrix(a), as_complex_matrix(b))
-
-
-def frobenius_inner(a, b) -> complex:
-    """Frobenius inner product tr(a @ dagger(b)) = sum_ij a_ij conj(b_ij)."""
-    a = as_complex_matrix(a)
-    b = as_complex_matrix(b)
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    return complex(np.vdot(b, a))
-
-
 def hermiticity_defect(m) -> float:
     """Largest entrywise deviation of m from dagger(m)."""
     m = as_complex_matrix(m)
     if m.shape[0] != m.shape[1]:
         raise ValueError(f"square matrix required, got {m.shape}")
     return float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
-
-
-def hermitian_eigenvalues(m, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Real eigenvalues of a Hermitian matrix, ascending.
-
-    Rejects inputs whose hermiticity defect exceeds tol; the symmetric
-    eigensolver would otherwise silently answer for (m + m†)/2.
-    """
-    m = as_complex_matrix(m)
-    defect = hermiticity_defect(m)
-    if defect > tol:
-        raise ValueError(f"matrix is not Hermitian: defect {defect:.3e} exceeds tol {tol:.3e}")
-    return np.linalg.eigvalsh(m)
 
 
 def partial_trace(m, dim_a: int, dim_b: int, keep: str) -> np.ndarray:

@@ -17,9 +17,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .classical import validate_distribution
 from .linalg import DEFAULT_TOL, partial_trace
 from .measurement import project, projectors_from_partition
-from .states import density_from_pure, logical_entropy, validate_density
+from .states import (_rng, density_from_pure, logical_entropy, random_density,
+                     random_pure_state, validate_density)
 
 
 @dataclass(frozen=True)
@@ -34,22 +36,14 @@ class Ensemble:
     states: tuple
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float).reshape(-1)
         states = tuple(validate_density(s) for s in self.states)
+        w = validate_distribution(self.weights)
         if w.shape[0] != len(states):
             raise ValueError(f"{w.shape[0]} weights for {len(states)} states")
-        if w.shape[0] == 0:
-            raise ValueError("empty ensemble")
-        if np.any(w < 0):
-            raise ValueError(f"negative weight {float(w.min()):.3e}")
-        total = float(w.sum())
-        if abs(total - 1.0) > DEFAULT_TOL:
-            raise ValueError(f"weights sum to {total:.12g}, deviating from 1 beyond 1e-09")
         dim = states[0].shape[0]
         for k, s in enumerate(states):
             if s.shape != (dim, dim):
                 raise ValueError(f"state {k} has shape {s.shape}, expected {(dim, dim)}")
-        w = w / total
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "states", states)
@@ -123,21 +117,11 @@ def purify(rho) -> np.ndarray:
     therefore purifies to |psi>|0>.
     """
     rho = validate_density(rho)
-    d = rho.shape[0]
     evals, evecs = np.linalg.eigh(rho)
     order = np.argsort(evals)[::-1]
     lam = np.clip(evals[order], 0.0, None)
-    vecs = evecs[:, order]
-    psi = np.zeros(d * d, dtype=np.complex128)
-    for k in range(d):
-        psi += np.sqrt(lam[k]) * np.kron(vecs[:, k], _basis_vec(d, k))
-    return psi
-
-
-def _basis_vec(dim: int, k: int) -> np.ndarray:
-    v = np.zeros(dim, dtype=np.complex128)
-    v[k] = 1.0
-    return v
+    # Entry (s, k) of the S x B coefficient matrix is sqrt(lam_k) v_k[s].
+    return (evecs[:, order] * np.sqrt(lam)).reshape(-1)
 
 
 def purify_ensemble(ensemble: Ensemble, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -148,15 +132,14 @@ def purify_ensemble(ensemble: Ensemble, tol: float = DEFAULT_TOL) -> np.ndarray:
     B-side reduction has entries <psi_j|psi_i> sqrt(p_i p_j). Members
     must be pure (largest eigenvalue within tol of 1).
     """
-    n = len(ensemble)
-    d = ensemble.dim
-    psi = np.zeros(d * n, dtype=np.complex128)
-    for i, (p, s) in enumerate(zip(ensemble.weights, ensemble.states)):
+    tops = []
+    for i, s in enumerate(ensemble.states):
         evals, evecs = np.linalg.eigh(s)
         if 1.0 - float(evals[-1]) > tol:
             raise ValueError(f"ensemble member {i} is not pure: largest eigenvalue {float(evals[-1]):.12g}")
-        psi += np.sqrt(p) * np.kron(evecs[:, -1], _basis_vec(n, i))
-    return psi
+        tops.append(evecs[:, -1])
+    # Entry (s, i) of the S x B coefficient matrix is sqrt(p_i) psi_i[s].
+    return (np.stack(tops, axis=1) * np.sqrt(ensemble.weights)).reshape(-1)
 
 
 def schmidt_entropy_pair(psi, dim_a: int, dim_b: int) -> tuple[float, float]:
@@ -196,9 +179,7 @@ def random_ensemble(dim: int, n: int, seed, pure: bool = True) -> Ensemble:
 
     pure=True draws Gaussian unit vectors; otherwise Ginibre mixed states.
     """
-    from .states import random_density, random_pure_state
-
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = _rng(seed)
     w = rng.dirichlet(np.ones(n))
     if pure:
         states = [density_from_pure(random_pure_state(dim, rng)) for _ in range(n)]

@@ -119,7 +119,7 @@ def load_json(path: str):
 
 
 def dump_json(obj, path: str | None = None) -> str:
-    text = json.dumps(obj, indent=2)
+    text = json.dumps(obj, indent=2, allow_nan=False)  # NaN/Infinity are not JSON
     if path is not None:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")

@@ -44,20 +44,20 @@ def validate_density(m, tol: float = DEFAULT_TOL) -> np.ndarray:
     Checks, in order: squareness, hermiticity within tol, unit trace
     within tol, and smallest eigenvalue >= -tol. Each failure raises its
     own error class carrying the deviation, so callers can tell *which*
-    invariant broke and by how much.
+    invariant broke and by how much. A NaN deviation fails every check.
     """
     m = as_complex_matrix(m)
     if m.shape[0] != m.shape[1]:
         raise DensityValidationError(f"density matrix must be square, got {m.shape}", 0.0)
     defect = hermiticity_defect(m)
-    if defect > tol:
+    if not defect <= tol:
         raise NonHermitianError(f"not Hermitian: defect {defect:.3e} exceeds tol {tol:.3e}", defect)
     tr = complex(np.trace(m))
     dev = abs(tr - 1.0)
-    if dev > tol:
+    if not dev <= tol:
         raise TraceError(f"trace {tr:.12g} deviates from 1 by {dev:.3e} (tol {tol:.3e})", dev)
     lo = float(np.linalg.eigvalsh(m)[0])
-    if lo < -tol:
+    if not lo >= -tol:
         raise NonPositiveError(f"not positive semidefinite: min eigenvalue {lo:.3e} below -{tol:.3e}", -lo)
     return m
 

@@ -81,6 +81,7 @@ class TestVerifyClosedForms:
                 assert report.bound_holds
                 assert report.projected_equals_bound
                 assert abs(report.entropy - report.closed_form_entropy) < 1e-10
+                assert abs(report.numeric_bound - report.bound) < 1e-10
 
     def test_mixed_input_entropy_still_matches(self):
         # the purity identity holds for any input, pure or not

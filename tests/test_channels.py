@@ -44,6 +44,12 @@ class TestCouplingModel:
         with pytest.raises(ValueError, match="env_init"):
             CouplingModel(np.eye(4), dim_s=2, dim_e=2, env_init=2)
 
+    def test_rejects_nan(self):
+        u = np.eye(4, dtype=complex)
+        u[1, 1] = np.nan
+        with pytest.raises(ValueError, match="unitary"):
+            CouplingModel(u, dim_s=2, dim_e=2)
+
     def test_unitary_is_read_only(self):
         model = coupling_model(0.4)
         with pytest.raises(ValueError):
@@ -247,6 +253,14 @@ class TestVerifyEntropyBound:
         with pytest.raises(ValueError):
             verify_entropy_bound(np.eye(2), coupling_model(0.5))
 
+    def test_tol_reaches_block_decompose(self):
+        # trace 1 + 1e-7 is within tol=1e-6, for the joint state as well
+        rho = np.diag([1 + 1e-7, 0]).astype(complex)
+        report = verify_entropy_bound(rho, coupling_model(0.3), tol=1e-6)
+        assert report.hypothesis_pure
+        with pytest.raises(ValueError, match="trace"):
+            block_decompose(couple(rho, coupling_model(0.3)), 2, 2)
+
 
 class TestEnvRotation:
     def test_rotation_to_basis_state_matches_env_init(self):
@@ -315,6 +329,14 @@ class TestExchangeEntropy:
         model = random_model(3, 2, 55)
         report = exchange_entropy(rho, model)
         assert report.dim_r == 2
+        assert report.slack >= -1e-9
+
+    def test_dropped_eigenvalues_renormalize(self):
+        # the two eigenvalues at 0.9e-9 fall below tol; the kept one is
+        # 1 - 1.8e-9 and must be scaled back to a unit-trace state
+        rho = np.diag([1 - 1.8e-9, 0.9e-9, 0.9e-9]).astype(complex)
+        report = exchange_entropy(rho, random_model(3, 2, 83))
+        assert report.dim_r == 1
         assert report.slack >= -1e-9
 
     def test_model_on_enlarged_system_used_directly(self):

@@ -17,6 +17,8 @@ def test_validate_distribution_errors():
         validate_distribution([0.5, 0.6])
     with pytest.raises(ValueError, match="empty"):
         validate_distribution([])
+    with pytest.raises(ValueError, match="sum"):
+        validate_distribution([np.nan, 1.0])
 
 
 def test_validate_distribution_renormalizes_exactly():

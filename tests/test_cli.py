@@ -256,6 +256,16 @@ class TestBadInput:
         assert code == 1
         assert "error" in err
 
+    def test_nan_state_rejected(self, capsys, tmp_path):
+        # NaN fails validation instead of reaching the output as invalid JSON
+        path = tmp_path / "nan.json"
+        path.write_text('{"rows": 2, "cols": 2, "data": '
+                        '[[NaN, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]}', encoding="utf-8")
+        code, out, err = run_cli(capsys, "entropy", "--state", str(path))
+        assert code == 1
+        assert out == ""
+        assert "error" in err
+
     def test_malformed_json(self, capsys, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json", encoding="utf-8")

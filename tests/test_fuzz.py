@@ -1,9 +1,15 @@
+import dataclasses
 import json
 
+import numpy as np
+import numpy.testing as npt
 import pytest
 
+import logent.fuzz
 from logent.fuzz import (SUITES, fuzz_bound, fuzz_bridge, fuzz_measurement,
                          fuzz_mixing, fuzz_schmidt, run_suite)
+from logent.serialization import matrix_from_json
+from logent.states import density_from_pure, random_pure_state, random_unitary
 
 
 def test_all_suites_clean_on_small_runs():
@@ -59,3 +65,30 @@ def test_aggregate_counts_every_suite():
 def test_unknown_suite_rejected():
     with pytest.raises(ValueError, match="unknown suite"):
         run_suite("nonsense", 5, 4, 3, seed=0)
+
+
+def test_failing_trials_are_counted_and_recorded(monkeypatch):
+    real = logent.fuzz.verify_entropy_bound
+
+    def broken(rho, model):
+        return dataclasses.replace(real(rho, model), slack=-1.0)
+
+    monkeypatch.setattr(logent.fuzz, "verify_entropy_bound", broken)
+    seed, trials = 20, 5
+    summary = fuzz_bound(trials, 4, 3, seed)
+    assert summary["failures"] == trials
+    assert summary["worst_slack"] == -1.0
+    assert len(summary["failed_trials"]) == 3
+    for record in summary["failed_trials"]:
+        t = record["trial"]
+        assert record["seed"] == seed + t
+        assert record["checks"] == ["slack -1.0 < -1e-9"]
+        # trial t replays from default_rng(seed + t) alone
+        rng = np.random.default_rng(seed + t)
+        ds = int(rng.integers(2, 5))
+        de = int(rng.integers(2, 4))
+        u = random_unitary(ds * de, rng)
+        npt.assert_array_equal(matrix_from_json(record["state"]),
+                               density_from_pure(random_pure_state(ds, rng)))
+        npt.assert_array_equal(matrix_from_json(record["model"]["unitary"]), u)
+        assert (record["model"]["dim_s"], record["model"]["dim_e"]) == (ds, de)

@@ -3,11 +3,9 @@ import numpy.testing as npt
 import pytest
 from hypothesis import given, strategies as st
 
-from logent.linalg import (dagger, frobenius_inner, hermitian_eigenvalues,
-                           hermiticity_defect, kron, matmul, partial_trace, trace)
+from logent.linalg import hermiticity_defect, partial_trace
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
-dims = st.integers(min_value=1, max_value=8)
 
 
 def random_matrix(dim, seed, scale=0.5):
@@ -15,85 +13,19 @@ def random_matrix(dim, seed, scale=0.5):
     return scale * (rng.uniform(-1, 1, (dim, dim)) + 1j * rng.uniform(-1, 1, (dim, dim)))
 
 
-def test_matmul_known_product():
-    a = np.array([[1, 2], [3, 4]], dtype=complex)
-    b = np.array([[0, 1], [1, 0]], dtype=complex)
-    npt.assert_array_equal(matmul(a, b), np.array([[2, 1], [4, 3]], dtype=complex))
-
-
-def test_matmul_shape_mismatch_names_both_shapes():
-    with pytest.raises(ValueError, match=r"\(2, 2\).*\(3, 3\)"):
-        matmul(np.eye(2), np.eye(3))
-
-
-def test_matmul_conjugation_oracle():
-    # E_0 rho E_0† for the damping Kraus operator at theta = pi/4,
-    # checked against the hand-expanded product.
-    e0 = np.array([[1, 0], [0, np.cos(np.pi / 4)]], dtype=complex)
-    rho = np.full((2, 2), 0.5, dtype=complex)
-    out = matmul(matmul(e0, rho), dagger(e0))
-    expected = np.array([[0.5, 0.3535533905932738],
-                         [0.3535533905932738, 0.25]], dtype=complex)
-    npt.assert_allclose(out, expected, atol=1e-10)
-    npt.assert_allclose(out, [[0.5, 0.35355], [0.35355, 0.25]], atol=1e-5)
-
-
-@given(seeds, dims)
-def test_dagger_involution_bit_exact(seed, dim):
-    m = random_matrix(dim, seed)
-    npt.assert_array_equal(dagger(dagger(m)), m)
-
-
-def test_dagger_conjugate_transpose():
-    m = np.array([[1 + 2j, 3], [4j, 5]], dtype=complex)
-    npt.assert_array_equal(dagger(m), np.array([[1 - 2j, -4j], [3, 5]], dtype=complex))
-
-
-@given(seeds, st.integers(min_value=1, max_value=16))
-def test_trace_cyclic(seed, dim):
-    a = random_matrix(dim, seed)
-    b = random_matrix(dim, seed + 1)
-    assert abs(trace(matmul(a, b)) - trace(matmul(b, a))) < 1e-12
-
-
-def test_trace_rejects_non_square():
-    with pytest.raises(ValueError, match="square"):
-        trace(np.ones((2, 3)))
-
-
-def test_kron_identity_scalar():
-    m = random_matrix(3, 11)
-    npt.assert_array_equal(kron(m, np.array([[1.0]])), m)
-
-
-@given(seeds)
-def test_kron_associative(seed):
-    a = random_matrix(2, seed)
-    b = random_matrix(3, seed + 1)
-    c = random_matrix(2, seed + 2)
-    npt.assert_allclose(kron(kron(a, b), c), kron(a, kron(b, c)), atol=1e-14)
-
-
-@given(seeds, st.integers(min_value=1, max_value=4), st.integers(min_value=1, max_value=4))
-def test_kron_trace_multiplicative(seed, da, db):
-    a = random_matrix(da, seed)
-    b = random_matrix(db, seed + 1)
-    assert abs(trace(kron(a, b)) - trace(a) * trace(b)) < 1e-12
-
-
 @given(seeds, st.integers(min_value=1, max_value=4), st.integers(min_value=1, max_value=4))
 def test_partial_trace_recovers_factors(seed, da, db):
     a = random_matrix(da, seed)
     b = random_matrix(db, seed + 1)
-    m = kron(a, b)
-    npt.assert_allclose(partial_trace(m, da, db, keep="a"), a * trace(b), atol=1e-12)
-    npt.assert_allclose(partial_trace(m, da, db, keep="b"), b * trace(a), atol=1e-12)
+    m = np.kron(a, b)
+    npt.assert_allclose(partial_trace(m, da, db, keep="a"), a * np.trace(b), atol=1e-12)
+    npt.assert_allclose(partial_trace(m, da, db, keep="b"), b * np.trace(a), atol=1e-12)
 
 
 def test_partial_trace_preserves_trace():
     m = random_matrix(6, 3)
-    assert abs(trace(partial_trace(m, 2, 3, keep="a")) - trace(m)) < 1e-12
-    assert abs(trace(partial_trace(m, 2, 3, keep="b")) - trace(m)) < 1e-12
+    assert abs(np.trace(partial_trace(m, 2, 3, keep="a")) - np.trace(m)) < 1e-12
+    assert abs(np.trace(partial_trace(m, 2, 3, keep="b")) - np.trace(m)) < 1e-12
 
 
 def test_partial_trace_rejects_bad_dims_and_selector():
@@ -103,49 +35,6 @@ def test_partial_trace_rejects_bad_dims_and_selector():
         partial_trace(np.eye(6), 2, 3, keep="c")
 
 
-def test_hermitian_eigenvalues_known_spectrum():
-    m = np.array([[0.5, 0.6], [0.6, 0.5]], dtype=complex)
-    npt.assert_allclose(hermitian_eigenvalues(m), [-0.1, 1.1], atol=1e-12)
-
-
-def test_hermitian_eigenvalues_recover_constructed_spectrum():
-    rng = np.random.default_rng(5)
-    g = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
-    q, _ = np.linalg.qr(g)
-    d = np.array([-2.0, -0.5, 0.0, 0.25, 3.0])
-    m = q @ np.diag(d) @ q.conj().T
-    npt.assert_allclose(hermitian_eigenvalues(m), d, atol=1e-9)
-
-
-def test_hermitian_eigenvalues_rejects_non_hermitian():
-    with pytest.raises(ValueError, match="Hermitian"):
-        hermitian_eigenvalues(np.array([[0, 1], [0, 0]], dtype=complex))
-
-
 def test_hermiticity_defect_values():
     assert hermiticity_defect(np.eye(3)) == 0.0
     assert abs(hermiticity_defect(np.array([[0, 0.3], [0.1, 0]])) - 0.2) < 1e-15
-
-
-@given(seeds, st.integers(min_value=1, max_value=6))
-def test_frobenius_inner_matches_trace_route(seed, dim):
-    a = random_matrix(dim, seed)
-    b = random_matrix(dim, seed + 1)
-    direct = frobenius_inner(a, b)
-    via_trace = trace(matmul(a, dagger(b)))
-    assert abs(direct - via_trace) < 1e-12
-
-
-def test_frobenius_inner_off_block_oracle():
-    # Frobenius weight of the (0,1) environment block of the damped joint
-    # state equals |b|^2 sin^2 + cos^2 sin^2 c^2 (hand-expanded).
-    theta, b, c = 0.9, 0.2 + 0.3j, 0.55
-    ct, st_ = np.cos(theta), np.sin(theta)
-    block = np.array([[b * st_, 0], [ct * st_ * c, 0]], dtype=complex)
-    expected = abs(b) ** 2 * st_ ** 2 + ct ** 2 * st_ ** 2 * c ** 2
-    assert abs(frobenius_inner(block, block).real - expected) < 1e-14
-
-
-def test_frobenius_inner_shape_mismatch():
-    with pytest.raises(ValueError, match="dimension mismatch"):
-        frobenius_inner(np.eye(2), np.eye(3))
