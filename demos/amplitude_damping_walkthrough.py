@@ -11,8 +11,7 @@ import numpy as np
 
 from logent.amplitude_damping import (closed_form_bound, closed_form_purity,
                                       coupling_model, verify_closed_forms)
-from logent.channels import (apply_channel, block_decompose, couple,
-                             extract_kraus, verify_entropy_bound)
+from logent.channels import apply_channel, couple, extract_kraus, verify_entropy_bound
 from logent.states import density_from_pure, logical_entropy
 
 np.set_printoptions(precision=4, suppress=True)
@@ -37,7 +36,6 @@ print(f"output entropy h = {logical_entropy(out):.4f}\n")
 
 print("=== Where the entropy comes from ===")
 joint = couple(rho, model)
-blocks = block_decompose(joint, dim_s=2, dim_e=2)
 print(f"joint state after coupling (environment-major blocks):\n{joint.real}")
 report = verify_entropy_bound(rho, model)
 print(f"off-block bound        : {report.bound:.4f}")

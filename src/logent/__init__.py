@@ -9,10 +9,10 @@ mixing, and classical-partition identities surrounding that bound.
 """
 from . import (amplitude_damping, channels, classical, fuzz, linalg,
                measurement, mixing, serialization, states)
-from .channels import (BlockMatrix, BoundReport, CouplingModel, ExchangeReport,
-                       apply_channel, block_decompose, completeness_defect, couple,
-                       embed_reference, exchange_entropy, extract_kraus,
-                       off_block_bound, rotate_env_init, verify_entropy_bound)
+from .channels import (BoundReport, CouplingModel, ExchangeReport, apply_channel,
+                       block_decompose, completeness_defect, couple, exchange_entropy,
+                       extract_kraus, off_block_bound, rotate_env_init,
+                       verify_entropy_bound)
 from .classical import (bridge_check, bridge_entropies, dit_count, logical_entropy_dist,
                         partition_entropy, validate_distribution)
 from .linalg import partial_trace
@@ -32,10 +32,9 @@ __version__ = "0.1.0"
 __all__ = [
     "amplitude_damping", "channels", "classical", "fuzz", "linalg",
     "measurement", "mixing", "serialization", "states",
-    "BlockMatrix", "BoundReport", "CouplingModel", "ExchangeReport",
-    "apply_channel", "block_decompose", "completeness_defect", "couple",
-    "embed_reference", "exchange_entropy", "extract_kraus", "off_block_bound",
-    "rotate_env_init", "verify_entropy_bound",
+    "BoundReport", "CouplingModel", "ExchangeReport", "apply_channel",
+    "block_decompose", "completeness_defect", "couple", "exchange_entropy",
+    "extract_kraus", "off_block_bound", "rotate_env_init", "verify_entropy_bound",
     "bridge_check", "bridge_entropies", "dit_count", "logical_entropy_dist",
     "partition_entropy", "validate_distribution",
     "partial_trace",

@@ -113,10 +113,9 @@ def verify_closed_forms(a: float, b: complex, c: float, theta: float) -> ClosedF
     cf_entropy = 1.0 - closed_form_purity(a, b, c, theta)
     cf_bound = closed_form_bound(a, b, c, theta)
     blocks = block_decompose(couple(rho, model), 2, 2)
-    projected = logical_entropy(blocks.diagonal_projection())
-    b00 = blocks.block(0, 0)
-    b11 = blocks.block(1, 1)
+    b00, b11 = blocks[0, 0], blocks[1, 1]
     block_pur = (float(np.vdot(b00, b00).real), float(np.vdot(b11, b11).real))
+    projected = 1.0 - sum(block_pur)
     numeric_bound = off_block_bound(blocks)
     if abs(numeric_bound - cf_bound) > 1e-10:
         raise AssertionError(f"bound routes disagree: {numeric_bound!r} vs {cf_bound!r}")

@@ -2,27 +2,25 @@
 entropy bound.
 
 A noise process is modeled as a unitary U acting jointly on the system S
-and an environment E prepared in a basis state |e0>. Throughout, the
-joint space is ordered environment-major: the environment index varies
-slowest, so joint index = e * dim_s + s and the joint matrix splits into
-a dim_e x dim_e grid of dim_s x dim_s blocks indexed by environment
-basis pairs.
+and an environment E prepared in a basis state |e0>. The joint space is
+ordered environment-major (joint index = e * dim_s + s), so only the e0
+block column of U reaches |e0> (x) rho: the isometry V = U (|e0> (x) I_S),
+whose dim_s x dim_s slices are the Kraus operators E_i = <i| U |e0>. The
+coupled state V rho V† is read as one (dim_e, dim_e, dim_s, dim_s) view
+of its blocks
 
-With that layout the coupled state U (|e0><e0| (x) rho) U† has blocks
+    B[i, j] = E_i rho E_j†.
 
-    B[i][j] = E_i rho E_j†,   E_i = <i| U |e0>,
-
-where the E_i are the Kraus operators of the induced channel. The
-central inequality: for *pure* input rho, the logical entropy of the
+The central inequality: for *pure* input rho, the logical entropy of the
 noisy output tr_E(...) is at most the total Frobenius weight of the
 off-diagonal blocks,
 
-    h(rho_out) <= sum_{i != j} tr(B[i][j] B[i][j]†).
+    h(rho_out) <= sum_{i != j} tr(B[i, j] B[i, j]†).
 
 Equality analysis splits into two steps, both reported by
 verify_entropy_bound: projecting the coupled state onto its diagonal
-blocks yields entropy exactly equal to the bound (pure input), and the
-traced output never exceeds the projected entropy.
+blocks yields entropy 1 - sum_i tr(B[i, i]^2), exactly equal to the bound
+for pure input, and the traced output never exceeds the projected entropy.
 """
 from __future__ import annotations
 
@@ -74,28 +72,30 @@ class CouplingModel:
         object.__setattr__(self, "unitary", _readonly(u))
 
 
+def _isometry(model: CouplingModel) -> np.ndarray:
+    """V = U (|e0> (x) I_S): the env_init block column of U."""
+    ds = model.dim_s
+    return model.unitary[:, model.env_init * ds:(model.env_init + 1) * ds]
+
+
 def couple(rho, model: CouplingModel) -> np.ndarray:
-    """Joint state U (|e0><e0| (x) rho) U† on E (x) S (environment-major)."""
+    """Joint state U (|e0><e0| (x) rho) U† = V rho V† on E (x) S."""
     rho = as_complex_matrix(rho)
     if rho.shape != (model.dim_s, model.dim_s):
         raise ValueError(f"dimension mismatch: state is {rho.shape}, model system side is {model.dim_s}")
-    e_proj = np.zeros((model.dim_e, model.dim_e), dtype=np.complex128)
-    e_proj[model.env_init, model.env_init] = 1.0
-    joint = np.kron(e_proj, rho)
-    u = model.unitary
-    return u @ joint @ u.conj().T
+    v = _isometry(model)
+    return v @ rho @ v.conj().T
 
 
 def extract_kraus(model: CouplingModel) -> list[np.ndarray]:
     """Kraus operators E_i = <i| U |e0> of the induced channel.
 
-    E_i is the dim_s x dim_s slice of U at block row i, block column
-    env_init. Completeness sum_i E_i† E_i = I is checked (it follows
-    from unitarity, so a violation means the model is corrupt).
+    E_i is the dim_s x dim_s slice of the isometry at block row i, a
+    read-only view into the unitary. Completeness sum_i E_i† E_i = I is
+    checked (it follows from unitarity, so a violation means the model
+    is corrupt).
     """
-    ds = model.dim_s
-    col = model.env_init * ds
-    ops = [model.unitary[i * ds:(i + 1) * ds, col:col + ds].copy() for i in range(model.dim_e)]
+    ops = list(_isometry(model).reshape(model.dim_e, model.dim_s, model.dim_s))
     defect = completeness_defect(ops)
     if defect > DEFAULT_TOL:
         raise ValueError(f"Kraus completeness violated: sum E†E deviates from I by {defect:.3e}")
@@ -123,40 +123,13 @@ def apply_channel(rho, ops) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class BlockMatrix:
-    """Environment-indexed block grid of a joint density matrix."""
+def block_decompose(joint, dim_s: int, dim_e: int, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """View a joint density matrix as its environment-indexed blocks.
 
-    blocks: tuple
-    dim_s: int
-    dim_e: int
-
-    def block(self, i: int, j: int) -> np.ndarray:
-        return self.blocks[i][j]
-
-    def reassemble(self) -> np.ndarray:
-        """Stitch the grid back into the full matrix (bit-exact)."""
-        return np.block([[self.blocks[i][j] for j in range(self.dim_e)] for i in range(self.dim_e)])
-
-    def diagonal_projection(self) -> np.ndarray:
-        """The joint state with every off-diagonal block zeroed.
-
-        This is sum_i (I (x) |i><i|) J (I (x) |i><i|), the post-measurement
-        state of an environment-basis measurement.
-        """
-        n = self.dim_s * self.dim_e
-        out = np.zeros((n, n), dtype=np.complex128)
-        ds = self.dim_s
-        for i in range(self.dim_e):
-            out[i * ds:(i + 1) * ds, i * ds:(i + 1) * ds] = self.blocks[i][i]
-        return out
-
-
-def block_decompose(joint, dim_s: int, dim_e: int, tol: float = DEFAULT_TOL) -> BlockMatrix:
-    """Cut a joint density matrix into its environment-indexed blocks.
-
-    The source must look like a density matrix (Hermitian within tol,
-    unit trace within tol); B[j][i] is then the dagger of B[i][j].
+    Returns a (dim_e, dim_e, dim_s, dim_s) view of joint with
+    blocks[i, j] = B_ij. The source must look like a density matrix
+    (Hermitian within tol, unit trace within tol); blocks[j, i] is then
+    the dagger of blocks[i, j].
     """
     joint = as_complex_matrix(joint)
     n = dim_s * dim_e
@@ -168,23 +141,19 @@ def block_decompose(joint, dim_s: int, dim_e: int, tol: float = DEFAULT_TOL) -> 
     tr_dev = abs(complex(np.trace(joint)) - 1.0)
     if not tr_dev <= tol:
         raise ValueError(f"joint state trace deviates from 1 by {tr_dev:.3e}")
-    rows = []
-    for i in range(dim_e):
-        rows.append(tuple(joint[i * dim_s:(i + 1) * dim_s, j * dim_s:(j + 1) * dim_s]
-                          for j in range(dim_e)))
-    return BlockMatrix(blocks=tuple(rows), dim_s=dim_s, dim_e=dim_e)
+    return joint.reshape(dim_e, dim_s, dim_e, dim_s).swapaxes(1, 2)
 
 
-def off_block_bound(blocks: BlockMatrix) -> float:
+def _block_weights(blocks: np.ndarray) -> np.ndarray:
+    """W_ij = ||B_ij||_F^2, the Frobenius weight of every block."""
+    return np.einsum("ijab,ijab->ij", blocks, blocks.conj()).real
+
+
+def off_block_bound(blocks: np.ndarray) -> float:
     """Total Frobenius weight of the off-diagonal blocks,
     sum_{i != j} tr(B_ij B_ij†)."""
-    total = 0.0
-    for i in range(blocks.dim_e):
-        for j in range(blocks.dim_e):
-            if i != j:
-                b = blocks.blocks[i][j]
-                total += float(np.vdot(b, b).real)
-    return total
+    w = _block_weights(blocks)
+    return float(w[~np.eye(len(w), dtype=bool)].sum())
 
 
 @dataclass(frozen=True)
@@ -215,12 +184,17 @@ def verify_entropy_bound(rho, model: CouplingModel, tol: float = DEFAULT_TOL) ->
     report; their slack may legitimately be negative.
     """
     rho = validate_density(rho, tol=tol)
-    joint = couple(rho, model)
-    out = partial_trace(joint, model.dim_e, model.dim_s, keep="b")
-    blocks = block_decompose(joint, model.dim_s, model.dim_e, tol=tol)
-    bound = off_block_bound(blocks)
+    return _bound_report(rho, couple(rho, model), model.dim_s, model.dim_e, tol)
+
+
+def _bound_report(rho, joint, dim_s: int, dim_e: int, tol: float) -> BoundReport:
+    """BoundReport of validated rho and its coupled state; the bound and the
+    projected entropy are separate sums over one block-weight matrix."""
+    out = partial_trace(joint, dim_e, dim_s, keep="b")
+    w = _block_weights(block_decompose(joint, dim_s, dim_e, tol=tol))
+    bound = float(w[~np.eye(dim_e, dtype=bool)].sum())
     entropy = logical_entropy(out)
-    projected = logical_entropy(blocks.diagonal_projection())
+    projected = 1.0 - float(np.trace(w))
     return BoundReport(
         entropy=entropy,
         bound=bound,
@@ -242,7 +216,7 @@ def rotate_env_init(model: CouplingModel, env_state) -> CouplingModel:
     if w.shape[0] != model.dim_e:
         raise ValueError(f"dimension mismatch: env state has {w.shape[0]} entries, dim_e={model.dim_e}")
     norm = float(np.linalg.norm(w))
-    if abs(norm - 1.0) > 1e-6:
+    if not abs(norm - 1.0) <= 1e-6:
         raise ValueError(f"environment state norm {norm:.9g} deviates from 1 by more than 1e-6")
     w = w / norm
     # Complete w to an orthonormal basis, phase-fixed so column 0 is w itself,
@@ -255,24 +229,6 @@ def rotate_env_init(model: CouplingModel, env_state) -> CouplingModel:
     w_full = q[:, perm]
     u2 = model.unitary @ np.kron(w_full, np.eye(model.dim_s))
     return CouplingModel(u2, dim_s=model.dim_s, dim_e=model.dim_e, env_init=model.env_init)
-
-
-def embed_reference(model: CouplingModel, dim_r: int) -> CouplingModel:
-    """Lift a coupling on S to one on R (x) S acting trivially on R.
-
-    Block (i, j) of the lifted unitary is I_R (x) U_ij with U_ij the
-    corresponding system block of the original; the induced Kraus
-    operators are I_R (x) E_i.
-    """
-    ds, de = model.dim_s, model.dim_e
-    eye_r = np.eye(dim_r)
-    rows = []
-    for i in range(de):
-        row = [np.kron(eye_r, model.unitary[i * ds:(i + 1) * ds, j * ds:(j + 1) * ds])
-               for j in range(de)]
-        rows.append(row)
-    u2 = np.block(rows)
-    return CouplingModel(u2, dim_s=dim_r * ds, dim_e=de, env_init=model.env_init)
 
 
 @dataclass(frozen=True)
@@ -295,8 +251,9 @@ def exchange_entropy(rho, model: CouplingModel, tol: float = DEFAULT_TOL) -> Exc
     Because |RS> is pure, the off-block bound applies unconditionally.
 
     The model may act either on R (x) S directly (dim_s == dim_r * d) or
-    on S alone (dim_s == d), in which case it is lifted with
-    embed_reference. Anything else is a dimension error.
+    on S alone (dim_s == d), in which case its Kraus operators are
+    lifted to I_R (x) E_i (Schumacher, PRA 54, 2614 (1996)). Anything
+    else is a dimension error.
     """
     rho = validate_density(rho, tol=tol)
     d = rho.shape[0]
@@ -307,18 +264,17 @@ def exchange_entropy(rho, model: CouplingModel, tol: float = DEFAULT_TOL) -> Exc
     dim_r = int(lam.shape[0])
     # |RS> = sum_k sqrt(lam_k) |k>_R |v_k>_S, reference index slowest.
     psi = (np.sqrt(lam)[None, :] * vecs).T.reshape(-1)
-    rho_rs = np.outer(psi, psi.conj())
+    rho_rs = validate_density(np.outer(psi, psi.conj()), tol=tol)
 
-    if model.dim_s == dim_r * d:
-        lifted = model
-    elif model.dim_s == d:
-        lifted = embed_reference(model, dim_r)
-    else:
+    if model.dim_s not in (d, dim_r * d):
         raise ValueError(
             f"dimension mismatch: model system side {model.dim_s} matches neither "
             f"dim_r*dim_s={dim_r * d} nor dim_s={d}")
-
-    report = verify_entropy_bound(rho_rs, lifted, tol=tol)
+    ops = np.stack(extract_kraus(model))
+    if model.dim_s != dim_r * d:
+        ops = np.einsum("rq,iab->iraqb", np.eye(dim_r), ops)
+    v = ops.reshape(-1, dim_r * d)
+    report = _bound_report(rho_rs, v @ rho_rs @ v.conj().T, dim_r * d, model.dim_e, tol)
     return ExchangeReport(
         exchange_entropy=report.entropy,
         bound=report.bound,

@@ -14,7 +14,8 @@ pure state), "bridge" (classical partition entropy vs measurement).
 Summaries are plain dicts: {suite, trials, failures, worst_slack, seed,
 failed_trials}. worst_slack is the most adverse value seen of the
 suite's primary quantity: the minimum slack for inequality suites, the
-largest residual for identity suites.
+largest residual for identity suites. Every check is written so that a
+NaN value fails it.
 """
 from __future__ import annotations
 
@@ -78,11 +79,11 @@ def fuzz_bound(trials: int, dim_s_max: int, dim_e_max: int, seed: int) -> dict:
         rho = density_from_pure(random_pure_state(ds, rng))
         report = verify_entropy_bound(rho, model)
         bad = []
-        if report.slack < -1e-9:
+        if not report.slack >= -1e-9:
             bad.append(f"slack {report.slack!r} < -1e-9")
-        if abs(report.projected_entropy - report.bound) > 1e-9:
+        if not abs(report.projected_entropy - report.bound) <= 1e-9:
             bad.append(f"projected {report.projected_entropy!r} != bound {report.bound!r}")
-        if report.entropy > report.projected_entropy + 1e-9:
+        if not report.entropy <= report.projected_entropy + 1e-9:
             bad.append(f"entropy {report.entropy!r} > projected {report.projected_entropy!r}")
         return ((report.slack,), bad,
                 lambda: {"state": matrix_to_json(rho), "model": model_to_json(model)})
@@ -112,16 +113,16 @@ def fuzz_measurement(trials: int, dim_max: int, seed: int) -> dict:
         gain_residual = abs(gain - mass)
         values = [residual, gain_residual]
         bad = []
-        if residual > 1e-10:
+        if not residual <= 1e-10:
             bad.append(f"purity identity residual {residual!r}")
-        if gain_residual > 1e-10:
+        if not gain_residual <= 1e-10:
             bad.append(f"entropy gain {gain!r} != off-block weight {mass!r}")
         if not entropy_nondecreasing(rho, ps, tol=1e-9):
             bad.append("entropy decreased under measurement")
         if t % 2 == 1:
             pure_residual = abs((1.0 - projected_purity) - mass)
             values.append(pure_residual)
-            if pure_residual > 1e-10:
+            if not pure_residual <= 1e-10:
                 bad.append(f"pure-state projected entropy residual {pure_residual!r}")
         return values, bad, lambda: {"state": matrix_to_json(rho),
                                      "partition": {"blocks": blocks}}
@@ -137,7 +138,7 @@ def fuzz_mixing(trials: int, dim_max: int, seed: int) -> dict:
         n = int(rng.integers(2, _MAX_COMPONENTS + 1))
         ens = random_ensemble(dim, n, rng, pure=(t % 2 == 0))
         slack = mixing_bound_report(ens).slack
-        bad = [f"slack {slack!r} < -1e-9"] if slack < -1e-9 else []
+        bad = [] if slack >= -1e-9 else [f"slack {slack!r} < -1e-9"]
         return (slack,), bad, lambda: {
             "ensemble": {"weights": [float(w) for w in ens.weights],
                          "states": [matrix_to_json(s) for s in ens.states]}}
@@ -154,7 +155,7 @@ def fuzz_schmidt(trials: int, dim_a_max: int, dim_b_max: int, seed: int) -> dict
         psi = random_pure_state(da * db, rng)
         h_a, h_b = schmidt_entropy_pair(psi, da, db)
         diff = abs(h_a - h_b)
-        bad = [f"reduction entropies differ by {diff!r}"] if diff > 1e-10 else []
+        bad = [] if diff <= 1e-10 else [f"reduction entropies differ by {diff!r}"]
         return (diff,), bad, lambda: {"psi": matrix_to_json(psi.reshape(-1, 1)),
                                       "dims": [da, db]}
 
@@ -170,7 +171,7 @@ def fuzz_bridge(trials: int, n_max: int, seed: int) -> dict:
         blocks = random_partition(n, rng)
         h_classical, h_quantum = bridge_entropies(probs, blocks)
         diff = abs(h_quantum - h_classical)
-        bad = [f"bridge residual {diff!r}"] if diff > 1e-10 else []
+        bad = [] if diff <= 1e-10 else [f"bridge residual {diff!r}"]
         return (diff,), bad, lambda: {"distribution": {"probs": [float(p) for p in probs]},
                                       "partition": {"blocks": blocks}}
 

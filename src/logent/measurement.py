@@ -62,16 +62,16 @@ def validate_projectors(ps, tol: float = 1e-10) -> list[np.ndarray]:
     for k, p in enumerate(ps):
         if p.shape != (dim, dim):
             raise ValueError(f"projector {k} has shape {p.shape}, expected {(dim, dim)}")
-        if np.max(np.abs(p - p.conj().T)) > tol:
+        if not np.max(np.abs(p - p.conj().T)) <= tol:
             raise ValueError(f"projector {k} is not Hermitian within {tol:.1e}")
-        if np.max(np.abs(p @ p - p)) > tol:
+        if not np.max(np.abs(p @ p - p)) <= tol:
             raise ValueError(f"projector {k} is not idempotent within {tol:.1e}")
         acc += p
     for i in range(len(ps)):
         for j in range(i + 1, len(ps)):
-            if np.max(np.abs(ps[i] @ ps[j])) > tol:
+            if not np.max(np.abs(ps[i] @ ps[j])) <= tol:
                 raise ValueError(f"projectors {i} and {j} are not orthogonal within {tol:.1e}")
-    if np.max(np.abs(acc - np.eye(dim))) > tol:
+    if not np.max(np.abs(acc - np.eye(dim))) <= tol:
         raise ValueError(f"projectors do not sum to the identity within {tol:.1e}")
     return ps
 

@@ -70,7 +70,7 @@ def density_from_pure(psi) -> np.ndarray:
     """
     v = np.asarray(psi, dtype=np.complex128).reshape(-1)
     norm = float(np.linalg.norm(v))
-    if abs(norm - 1.0) > 1e-6:
+    if not abs(norm - 1.0) <= 1e-6:
         raise ValueError(f"state vector norm {norm:.9g} deviates from 1 by more than 1e-6")
     v = v / norm
     return np.outer(v, v.conj())

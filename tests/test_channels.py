@@ -3,10 +3,9 @@ import numpy.testing as npt
 import pytest
 
 from logent.amplitude_damping import coupling_model
-from logent.channels import (BlockMatrix, CouplingModel, apply_channel,
-                             block_decompose, completeness_defect, couple,
-                             embed_reference, exchange_entropy, extract_kraus,
-                             off_block_bound, rotate_env_init,
+from logent.channels import (CouplingModel, apply_channel, block_decompose,
+                             completeness_defect, couple, exchange_entropy,
+                             extract_kraus, off_block_bound, rotate_env_init,
                              verify_entropy_bound)
 from logent.linalg import partial_trace
 from logent.states import (density_from_pure, logical_entropy, purity,
@@ -86,6 +85,20 @@ class TestCouple:
         with pytest.raises(ValueError, match="dimension mismatch"):
             couple(np.eye(3) / 3, coupling_model(0.5))
 
+    def test_isometry_matches_dense_kron_oracle(self):
+        # the full-unitary route: U (|k><k| (x) rho) U†
+        rng = np.random.default_rng(3)
+        for seed in range(8):
+            ds, de = 2 + seed % 3, 2 + seed % 3
+            k = int(rng.integers(1, de))
+            model = CouplingModel(random_unitary(ds * de, seed), ds, de, env_init=k)
+            rho = random_density(ds, seed + 20)
+            e_proj = np.zeros((de, de))
+            e_proj[k, k] = 1.0
+            u = model.unitary
+            dense = u @ np.kron(e_proj, rho) @ u.conj().T
+            npt.assert_allclose(couple(rho, model), dense, rtol=0, atol=1e-12)
+
 
 class TestKraus:
     @pytest.mark.parametrize("theta", np.linspace(0, np.pi, 16))
@@ -153,23 +166,25 @@ class TestBlocks:
             ops = extract_kraus(model)
             for i in range(3):
                 for j in range(3):
-                    npt.assert_allclose(blocks.block(i, j),
+                    npt.assert_allclose(blocks[i, j],
                                         ops[i] @ rho @ ops[j].conj().T, atol=1e-12)
 
-    def test_reassemble_bit_exact(self):
+    def test_blocks_are_a_view_of_the_joint_state(self):
         joint = couple(random_density(2, 1), random_model(2, 3, 2))
         blocks = block_decompose(joint, 2, 3)
-        npt.assert_array_equal(blocks.reassemble(), joint)
+        assert blocks.shape == (3, 3, 2, 2)
+        assert np.shares_memory(blocks, joint)
+        npt.assert_array_equal(blocks[2, 1], joint[4:6, 2:4])
 
     def test_block_dagger_symmetry(self):
         blocks = block_decompose(couple(PLUS, coupling_model(0.6)), 2, 2)
-        npt.assert_allclose(blocks.block(0, 1), blocks.block(1, 0).conj().T, atol=1e-10)
+        npt.assert_allclose(blocks[0, 1], blocks[1, 0].conj().T, atol=1e-10)
 
     def test_diagonal_blocks_sum_to_output(self):
         model = coupling_model(1.2)
         blocks = block_decompose(couple(PLUS, model), 2, 2)
         out = apply_channel(PLUS, extract_kraus(model))
-        npt.assert_allclose(blocks.block(0, 0) + blocks.block(1, 1), out, atol=1e-12)
+        npt.assert_allclose(blocks[0, 0] + blocks[1, 1], out, atol=1e-12)
 
     def test_rejects_non_hermitian_and_bad_trace(self):
         with pytest.raises(ValueError, match="Hermitian"):
@@ -195,7 +210,7 @@ class TestBound:
             rho = density_from_pure(random_pure_state(3, seed))
             joint = couple(rho, model)
             blocks = block_decompose(joint, 3, 4)
-            diag_weight = sum(np.vdot(blocks.block(i, i), blocks.block(i, i)).real
+            diag_weight = sum(np.vdot(blocks[i, i], blocks[i, i]).real
                               for i in range(4))
             assert abs(off_block_bound(blocks) - (purity(joint) - diag_weight)) < 1e-10
 
@@ -253,6 +268,19 @@ class TestVerifyEntropyBound:
         with pytest.raises(ValueError):
             verify_entropy_bound(np.eye(2), coupling_model(0.5))
 
+    def test_projected_entropy_matches_dense_projection(self):
+        # the joint state with every off-diagonal block zeroed, built densely
+        for seed in range(8):
+            ds, de = 2 + seed % 3, 2 + seed % 4
+            model = CouplingModel(random_unitary(ds * de, seed), ds, de,
+                                  env_init=seed % de)
+            rho = (random_density(ds, seed + 30) if seed % 2
+                   else density_from_pure(random_pure_state(ds, seed + 30)))
+            mask = np.kron(np.eye(de), np.ones((ds, ds)))
+            dense = logical_entropy(couple(rho, model) * mask)
+            report = verify_entropy_bound(rho, model)
+            assert abs(report.projected_entropy - dense) < 1e-12
+
     def test_tol_reaches_block_decompose(self):
         # trace 1 + 1e-7 is within tol=1e-6, for the joint state as well
         rho = np.diag([1 + 1e-7, 0]).astype(complex)
@@ -282,6 +310,8 @@ class TestEnvRotation:
             rotate_env_init(coupling_model(0.2), [1.0, 1.0])
         with pytest.raises(ValueError, match="dimension mismatch"):
             rotate_env_init(coupling_model(0.2), [1.0, 0.0, 0.0])
+        with pytest.raises(ValueError, match="norm"):
+            rotate_env_init(coupling_model(0.2), [np.nan, 0.0])
 
 
 class TestExchangeEntropy:
@@ -346,27 +376,29 @@ class TestExchangeEntropy:
         assert report.dim_r == 2
         assert report.slack >= -1e-9
 
+    def test_matches_hand_lifted_unitary(self):
+        # the lifted coupling on R (x) S, block (i, j) = I_R (x) U_ij, fed to
+        # the plain bound on the purification
+        for seed in range(6):
+            ds, de = 2 + seed % 2, 2 + seed % 3
+            model = CouplingModel(random_unitary(ds * de, seed + 90), ds, de,
+                                  env_init=seed % de)
+            rho = random_density(ds, seed)
+            evals, evecs = np.linalg.eigh(rho)
+            dim_r = ds
+            psi = (np.sqrt(evals)[None, :] * evecs).T.reshape(-1)
+            u = model.unitary.reshape(de, ds, de, ds)
+            lifted_u = np.block([[np.kron(np.eye(dim_r), u[i, :, j, :]) for j in range(de)]
+                                 for i in range(de)])
+            lifted = CouplingModel(lifted_u, dim_r * ds, de, env_init=model.env_init)
+            oracle = verify_entropy_bound(np.outer(psi, psi.conj()), lifted)
+            report = exchange_entropy(rho, model)
+            assert report.dim_r == dim_r
+            assert abs(report.exchange_entropy - oracle.entropy) < 1e-10
+            assert abs(report.bound - oracle.bound) < 1e-10
+            assert abs(report.slack - oracle.slack) < 1e-10
+
     def test_dimension_mismatch_rejected(self):
         rho = np.eye(2, dtype=complex) / 2
         with pytest.raises(ValueError, match="dimension mismatch"):
             exchange_entropy(rho, random_model(3, 2, 71))
-
-
-class TestEmbedReference:
-    def test_lifted_kraus_are_kron_identity(self):
-        model = coupling_model(1.1)
-        lifted = embed_reference(model, 3)
-        ops = extract_kraus(model)
-        lifted_ops = extract_kraus(lifted)
-        for e, le in zip(ops, lifted_ops):
-            npt.assert_allclose(le, np.kron(np.eye(3), e), atol=1e-12)
-
-    def test_lifted_model_validates(self):
-        lifted = embed_reference(random_model(2, 3, 5), 2)
-        assert (lifted.dim_s, lifted.dim_e) == (4, 3)
-
-
-def test_block_matrix_is_plain_container():
-    blocks = block_decompose(couple(PLUS, coupling_model(0.5)), 2, 2)
-    assert isinstance(blocks, BlockMatrix)
-    assert blocks.dim_s == 2 and blocks.dim_e == 2

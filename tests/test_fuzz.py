@@ -92,3 +92,15 @@ def test_failing_trials_are_counted_and_recorded(monkeypatch):
                                density_from_pure(random_pure_state(ds, rng)))
         npt.assert_array_equal(matrix_from_json(record["model"]["unitary"]), u)
         assert (record["model"]["dim_s"], record["model"]["dim_e"]) == (ds, de)
+
+
+def test_nan_slack_counts_as_failure(monkeypatch):
+    real = logent.fuzz.verify_entropy_bound
+
+    def broken(rho, model):
+        return dataclasses.replace(real(rho, model), slack=float("nan"))
+
+    monkeypatch.setattr(logent.fuzz, "verify_entropy_bound", broken)
+    trials = 4
+    summary = fuzz_bound(trials, 4, 3, seed=0)
+    assert summary["failures"] == trials

@@ -32,6 +32,11 @@ def test_projectors_from_partition_form_valid_set():
     npt.assert_array_equal(ps[0], np.diag([1, 0, 1, 0]).astype(complex))
 
 
+def test_validate_projectors_rejects_nan():
+    with pytest.raises(ValueError, match="Hermitian"):
+        validate_projectors([np.diag([1.0, np.nan]), np.diag([0.0, 1.0])])
+
+
 def test_validate_projectors_catches_defects():
     with pytest.raises(ValueError, match="idempotent"):
         validate_projectors([np.eye(2) * 0.5, np.eye(2) * 0.5])

@@ -64,6 +64,11 @@ def test_density_from_pure_rejects_large_deviation():
         density_from_pure([1.1, 0.0])
 
 
+def test_density_from_pure_rejects_nan():
+    with pytest.raises(ValueError, match="norm"):
+        density_from_pure([np.nan, 0.0])
+
+
 def test_entropy_zero_on_pure():
     for seed in range(5):
         rho = density_from_pure(random_pure_state(4, seed))
