@@ -87,40 +87,43 @@ def couple(rho, model: CouplingModel) -> np.ndarray:
     return v @ rho @ v.conj().T
 
 
-def extract_kraus(model: CouplingModel) -> list[np.ndarray]:
+def extract_kraus(model: CouplingModel) -> np.ndarray:
     """Kraus operators E_i = <i| U |e0> of the induced channel.
 
-    E_i is the dim_s x dim_s slice of the isometry at block row i, a
-    read-only view into the unitary. Completeness sum_i E_i† E_i = I is
+    Returns the isometry as a read-only (dim_e, dim_s, dim_s) view into
+    the unitary, ops[i] = E_i. Completeness sum_i E_i† E_i = I is
     checked (it follows from unitarity, so a violation means the model
     is corrupt).
     """
-    ops = list(_isometry(model).reshape(model.dim_e, model.dim_s, model.dim_s))
+    ops = _isometry(model).reshape(model.dim_e, model.dim_s, model.dim_s)
     defect = completeness_defect(ops)
     if defect > DEFAULT_TOL:
         raise ValueError(f"Kraus completeness violated: sum E†E deviates from I by {defect:.3e}")
     return ops
 
 
+def _operator_stack(ops) -> np.ndarray:
+    """Coerce Kraus operators (a stack or a sequence of matrices) to (k, m, n) complex128."""
+    ops = np.asarray(ops, dtype=np.complex128)
+    if ops.ndim != 3 or not len(ops):
+        raise ValueError(f"expected a non-empty stack of 2-D matrices, got shape {ops.shape}")
+    return ops
+
+
 def completeness_defect(ops) -> float:
     """Largest entrywise deviation of sum_i E_i† E_i from the identity."""
-    ops = [as_complex_matrix(e) for e in ops]
-    if not ops:
-        raise ValueError("empty operator list")
-    acc = sum(e.conj().T @ e for e in ops)
-    return float(np.max(np.abs(acc - np.eye(ops[0].shape[1]))))
+    flat = _operator_stack(ops)
+    flat = flat.reshape(-1, flat.shape[2])  # the E_i stacked as rows: flat† flat = sum E_i† E_i
+    return float(np.max(np.abs(flat.conj().T @ flat - np.eye(flat.shape[1]))))
 
 
 def apply_channel(rho, ops) -> np.ndarray:
     """sum_i E_i rho E_i†. Trace-preserving when ops are complete."""
     rho = as_complex_matrix(rho)
-    out = np.zeros_like(rho)
-    for e in ops:
-        e = as_complex_matrix(e)
-        if e.shape[1] != rho.shape[0]:
-            raise ValueError(f"dimension mismatch: operator {e.shape} against state {rho.shape}")
-        out += e @ rho @ e.conj().T
-    return out
+    ops = _operator_stack(ops)
+    if ops.shape[2] != rho.shape[0]:
+        raise ValueError(f"dimension mismatch: operator {ops.shape[1:]} against state {rho.shape}")
+    return (ops @ rho @ ops.conj().swapaxes(1, 2)).sum(axis=0)
 
 
 def block_decompose(joint, dim_s: int, dim_e: int, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -184,15 +187,11 @@ def verify_entropy_bound(rho, model: CouplingModel, tol: float = DEFAULT_TOL) ->
     report; their slack may legitimately be negative.
     """
     rho = validate_density(rho, tol=tol)
-    return _bound_report(rho, couple(rho, model), model.dim_s, model.dim_e, tol)
-
-
-def _bound_report(rho, joint, dim_s: int, dim_e: int, tol: float) -> BoundReport:
-    """BoundReport of validated rho and its coupled state; the bound and the
-    projected entropy are separate sums over one block-weight matrix."""
-    out = partial_trace(joint, dim_e, dim_s, keep="b")
-    w = _block_weights(block_decompose(joint, dim_s, dim_e, tol=tol))
-    bound = float(w[~np.eye(dim_e, dtype=bool)].sum())
+    joint = couple(rho, model)
+    out = partial_trace(joint, model.dim_e, model.dim_s, keep="b")
+    # the bound and the projected entropy are separate sums of one block-weight matrix
+    w = _block_weights(block_decompose(joint, model.dim_s, model.dim_e, tol=tol))
+    bound = float(w[~np.eye(model.dim_e, dtype=bool)].sum())
     entropy = logical_entropy(out)
     projected = 1.0 - float(np.trace(w))
     return BoundReport(
@@ -244,40 +243,28 @@ class ExchangeReport:
 def exchange_entropy(rho, model: CouplingModel, tol: float = DEFAULT_TOL) -> ExchangeReport:
     """Entropy the environment gains, measured through a reference system.
 
-    rho is purified against a reference R of dimension rank(rho), the
-    number of eigenvalues above tol (the rest are dropped); the
-    coupling acts on the S side of the pure state |RS>, and the reported
-    entropy is that of the surviving R (x) S state after tracing out E.
-    Because |RS> is pure, the off-block bound applies unconditionally.
+    rho is purified against a reference R of dimension dim_r = rank(rho),
+    the number of eigenvalues above tol, and the model acts on the S side
+    of |RS>. The coupled state on E (x) R (x) S is pure, so R (x) S shares
+    its entropy with E (Schumacher, PRA 54, 2614 (1996)), and everything
+    follows from the environment's dim_e x dim_e state
 
-    The model may act either on R (x) S directly (dim_s == dim_r * d) or
-    on S alone (dim_s == d), in which case its Kraus operators are
-    lifted to I_R (x) E_i (Schumacher, PRA 54, 2614 (1996)). Anything
-    else is a dimension error.
+        W_ij = tr(E_i rho E_j†):
+
+    the exchange entropy is 1 - ||W||_F^2, and since every block
+    (I_R (x) E_i)|RS><RS|(I_R (x) E_j)† has rank one, the off-block bound
+    is sum_{i != j} W_ii W_jj. The purification is never built.
     """
     rho = validate_density(rho, tol=tol)
-    d = rho.shape[0]
-    evals, evecs = np.linalg.eigh(rho)
-    keep = evals > tol
-    lam = evals[keep] / np.sum(evals[keep])  # renormalized so |RS> keeps unit norm
-    vecs = evecs[:, keep]
-    dim_r = int(lam.shape[0])
-    # |RS> = sum_k sqrt(lam_k) |k>_R |v_k>_S, reference index slowest.
-    psi = (np.sqrt(lam)[None, :] * vecs).T.reshape(-1)
-    rho_rs = validate_density(np.outer(psi, psi.conj()), tol=tol)
-
-    if model.dim_s not in (d, dim_r * d):
-        raise ValueError(
-            f"dimension mismatch: model system side {model.dim_s} matches neither "
-            f"dim_r*dim_s={dim_r * d} nor dim_s={d}")
-    ops = np.stack(extract_kraus(model))
-    if model.dim_s != dim_r * d:
-        ops = np.einsum("rq,iab->iraqb", np.eye(dim_r), ops)
-    v = ops.reshape(-1, dim_r * d)
-    report = _bound_report(rho_rs, v @ rho_rs @ v.conj().T, dim_r * d, model.dim_e, tol)
-    return ExchangeReport(
-        exchange_entropy=report.entropy,
-        bound=report.bound,
-        slack=report.slack,
-        dim_r=dim_r,
-    )
+    if rho.shape != (model.dim_s, model.dim_s):
+        raise ValueError(f"dimension mismatch: state is {rho.shape}, model system side is {model.dim_s}")
+    ops = extract_kraus(model)
+    w = (ops @ rho).reshape(model.dim_e, -1) @ ops.reshape(model.dim_e, -1).conj().T
+    tr_dev = abs(complex(np.trace(w)) - 1.0)
+    if not tr_dev <= tol:
+        raise ValueError(f"environment state trace deviates from 1 by {tr_dev:.3e}")
+    p = w.diagonal().real
+    bound = float(np.outer(p, p)[~np.eye(model.dim_e, dtype=bool)].sum())
+    entropy = 1.0 - float(np.vdot(w, w).real)
+    return ExchangeReport(exchange_entropy=entropy, bound=bound, slack=bound - entropy,
+                          dim_r=int(np.count_nonzero(np.linalg.eigvalsh(rho) > tol)))

@@ -133,7 +133,7 @@ def purity_decomposition(rho, ps) -> tuple[float, float]:
     if abs(pair_sum.imag) > 1e-12:
         raise ValueError(f"off-block pair sum has imaginary residue {pair_sum.imag:.3e}; input not Hermitian")
     mass = float(np.sum(np.abs(rho[off]) ** 2))
-    projected = project(rho, ps)
+    projected = np.where(off, 0.0, rho)  # basis-aligned projectors only zero the cross-block entries
     return float(np.vdot(projected, projected).real), mass
 
 

@@ -362,43 +362,44 @@ class TestExchangeEntropy:
         assert report.slack >= -1e-9
 
     def test_dropped_eigenvalues_renormalize(self):
-        # the two eigenvalues at 0.9e-9 fall below tol; the kept one is
-        # 1 - 1.8e-9 and must be scaled back to a unit-trace state
+        # regression guard: the two eigenvalues at 0.9e-9 fall below tol, so
+        # the reference keeps one dimension; the environment state comes
+        # from rho itself, so this near-boundary input needs no rescaling
         rho = np.diag([1 - 1.8e-9, 0.9e-9, 0.9e-9]).astype(complex)
         report = exchange_entropy(rho, random_model(3, 2, 83))
         assert report.dim_r == 1
         assert report.slack >= -1e-9
 
-    def test_model_on_enlarged_system_used_directly(self):
-        rho = np.eye(2, dtype=complex) / 2
-        big = random_model(4, 2, 61)  # dim_r * dim_s = 4
-        report = exchange_entropy(rho, big)
-        assert report.dim_r == 2
-        assert report.slack >= -1e-9
-
     def test_matches_hand_lifted_unitary(self):
         # the lifted coupling on R (x) S, block (i, j) = I_R (x) U_ij, fed to
-        # the plain bound on the purification
+        # the plain bound on the purification, for every rank 1 .. dim_s
         for seed in range(6):
             ds, de = 2 + seed % 2, 2 + seed % 3
             model = CouplingModel(random_unitary(ds * de, seed + 90), ds, de,
                                   env_init=seed % de)
-            rho = random_density(ds, seed)
-            evals, evecs = np.linalg.eigh(rho)
-            dim_r = ds
-            psi = (np.sqrt(evals)[None, :] * evecs).T.reshape(-1)
             u = model.unitary.reshape(de, ds, de, ds)
-            lifted_u = np.block([[np.kron(np.eye(dim_r), u[i, :, j, :]) for j in range(de)]
-                                 for i in range(de)])
-            lifted = CouplingModel(lifted_u, dim_r * ds, de, env_init=model.env_init)
-            oracle = verify_entropy_bound(np.outer(psi, psi.conj()), lifted)
-            report = exchange_entropy(rho, model)
-            assert report.dim_r == dim_r
-            assert abs(report.exchange_entropy - oracle.entropy) < 1e-10
-            assert abs(report.bound - oracle.bound) < 1e-10
-            assert abs(report.slack - oracle.slack) < 1e-10
+            rng = np.random.default_rng(seed)
+            for dim_r in range(1, ds + 1):
+                g = rng.standard_normal((ds, dim_r)) + 1j * rng.standard_normal((ds, dim_r))
+                rho = g @ g.conj().T
+                rho /= np.trace(rho).real
+                evals, evecs = np.linalg.eigh(rho)
+                lam, vecs = evals[-dim_r:], evecs[:, -dim_r:]
+                psi = (np.sqrt(lam)[None, :] * vecs).T.reshape(-1)
+                lifted_u = np.block([[np.kron(np.eye(dim_r), u[i, :, j, :]) for j in range(de)]
+                                     for i in range(de)])
+                lifted = CouplingModel(lifted_u, dim_r * ds, de, env_init=model.env_init)
+                oracle = verify_entropy_bound(np.outer(psi, psi.conj()), lifted)
+                report = exchange_entropy(rho, model)
+                assert report.dim_r == dim_r
+                assert abs(report.exchange_entropy - oracle.entropy) < 1e-10
+                assert abs(report.bound - oracle.bound) < 1e-10
+                assert abs(report.slack - oracle.slack) < 1e-10
 
     def test_dimension_mismatch_rejected(self):
         rho = np.eye(2, dtype=complex) / 2
         with pytest.raises(ValueError, match="dimension mismatch"):
             exchange_entropy(rho, random_model(3, 2, 71))
+        # a model on R (x) S (dim_r * dim_s = 4) is not a model on S
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            exchange_entropy(rho, random_model(4, 2, 61))

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import subprocess
 import sys
@@ -5,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+import logent.fuzz
 from logent.cli import main
 from logent.serialization import dump_json, matrix_to_json, model_to_json
 from logent.states import random_density, random_unitary
@@ -213,6 +215,23 @@ class TestFuzz:
         _, first, _ = run_cli(capsys, *args)
         _, second, _ = run_cli(capsys, *args)
         assert first == second
+
+    def test_nan_slack_reported_as_failures(self, capsys, monkeypatch):
+        # a NaN slack wins the worst-case fold and is written as null, so the
+        # summary stays valid JSON and reports every trial as failed
+        real = logent.fuzz.verify_entropy_bound
+        monkeypatch.setattr(logent.fuzz, "verify_entropy_bound",
+                            lambda rho, model: dataclasses.replace(real(rho, model),
+                                                                   slack=float("nan")))
+        for suite in ("theorem", "all"):
+            code, out, _ = run_cli(capsys, "fuzz", "--suite", suite, "--trials", "4")
+            payload = json.loads(out)
+            theorem = payload if suite == "theorem" else payload["suites"][0]
+            assert code == 1
+            assert theorem["suite"] == "theorem"
+            assert theorem["failures"] == theorem["trials"] == 4
+            assert payload["failures"] == 4
+            assert theorem["worst_slack"] is None and payload["worst_slack"] is None
 
 
 class TestUsageErrors:

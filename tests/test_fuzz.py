@@ -104,3 +104,4 @@ def test_nan_slack_counts_as_failure(monkeypatch):
     trials = 4
     summary = fuzz_bound(trials, 4, 3, seed=0)
     assert summary["failures"] == trials
+    assert summary["worst_slack"] is None  # NaN wins the fold, written as null
