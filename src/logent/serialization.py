@@ -9,11 +9,17 @@ padded or truncated. The other formats compose that one:
     partition    {"blocks": [[int, ...], ...]}
     ensemble     {"weights": [float, ...], "states": [<matrix>, ...]}
     distribution {"probs": [float, ...]}
+
+Every entry of `data`, `weights` and `probs` is a finite JSON number that
+fits a float64 (integers are accepted); booleans, strings, null, NaN and
+Infinity are rejected with a ValueError naming the entry. Types are
+checked once per distinct type and the numbers converted in bulk.
 """
 from __future__ import annotations
 
 import json
 import numbers
+from itertools import chain
 
 import numpy as np
 
@@ -22,11 +28,36 @@ from .linalg import as_complex_matrix
 from .mixing import Ensemble
 
 
+def _numbers(values) -> bool:
+    """True when every value is a real number other than a bool: one check per distinct type."""
+    return all(issubclass(t, numbers.Real) and not issubclass(t, bool) for t in set(map(type, values)))
+
+
+def _finite_array(values) -> np.ndarray | None:
+    """float64 array of numbers, or None when one overflows float64 or is not finite."""
+    try:
+        out = np.array(values, dtype=np.float64)
+    except OverflowError:
+        return None
+    return out if np.isfinite(out).all() else None
+
+
+def _float_list(values: list, name: str) -> np.ndarray:
+    """1-D float64 array of a list of finite numbers; the scan runs only to name a bad entry."""
+    out = _finite_array(values) if _numbers(values) else None
+    if out is None:
+        for x in values:
+            if not _numbers([x]):
+                raise ValueError(f"{name} {x!r} is not a number")
+            if _finite_array([x]) is None:
+                raise ValueError(f"{name} {x!r} is not a finite float64")
+    return out
+
+
 def matrix_to_json(m) -> dict:
     m = as_complex_matrix(m)
     rows, cols = m.shape
-    data = [[float(x.real), float(x.imag)] for x in m.reshape(-1)]
-    return {"rows": rows, "cols": cols, "data": data}
+    return {"rows": rows, "cols": cols, "data": m.reshape(-1, 1).view(np.float64).tolist()}
 
 
 def matrix_from_json(obj) -> np.ndarray:
@@ -36,19 +67,23 @@ def matrix_from_json(obj) -> np.ndarray:
         if key not in obj:
             raise ValueError(f"matrix object missing key {key!r}")
     rows, cols = obj["rows"], obj["cols"]
-    if not (isinstance(rows, int) and isinstance(cols, int)) or rows < 1 or cols < 1:
+    if (not all(isinstance(v, int) and not isinstance(v, bool) for v in (rows, cols))
+            or rows < 1 or cols < 1):
         raise ValueError(f"rows/cols must be positive integers, got {rows!r}/{cols!r}")
     data = obj["data"]
     if not isinstance(data, list) or len(data) != rows * cols:
         n = len(data) if isinstance(data, list) else f"type {type(data).__name__}"
         raise ValueError(f"data must hold exactly rows*cols={rows * cols} pairs, got {n}")
-    out = np.empty(rows * cols, dtype=np.complex128)
-    for k, pair in enumerate(data):
-        if (not isinstance(pair, list) or len(pair) != 2
-                or not all(isinstance(x, numbers.Real) and not isinstance(x, bool) for x in pair)):
-            raise ValueError(f"data[{k}] must be a [re, im] pair of numbers, got {pair!r}")
-        out[k] = complex(pair[0], pair[1])
-    return out.reshape(rows, cols)
+    pairs = (all(issubclass(t, list) for t in set(map(type, data)))
+             and set(map(len, data)) == {2} and _numbers(chain.from_iterable(data)))
+    out = _finite_array(data) if pairs else None
+    if out is None:
+        for k, pair in enumerate(data):
+            if not (isinstance(pair, list) and len(pair) == 2 and _numbers(pair)):
+                raise ValueError(f"data[{k}] must be a [re, im] pair of numbers, got {pair!r}")
+            if _finite_array(pair) is None:
+                raise ValueError(f"data[{k}] must be a pair of finite float64 numbers, got {pair!r}")
+    return out.view(np.complex128).reshape(rows, cols)
 
 
 def model_to_json(model: CouplingModel) -> dict:
@@ -97,7 +132,7 @@ def ensemble_from_json(obj) -> Ensemble:
     states = obj["states"]
     if not isinstance(weights, list) or not isinstance(states, list):
         raise ValueError("ensemble weights and states must be lists")
-    return Ensemble(weights=np.asarray(weights, dtype=float),
+    return Ensemble(weights=_float_list(weights, "weight"),
                     states=tuple(matrix_from_json(s) for s in states))
 
 
@@ -107,10 +142,7 @@ def distribution_from_json(obj) -> np.ndarray:
     probs = obj["probs"]
     if not isinstance(probs, list) or not probs:
         raise ValueError("'probs' must be a non-empty list of numbers")
-    for x in probs:
-        if not isinstance(x, numbers.Real) or isinstance(x, bool):
-            raise ValueError(f"probability {x!r} is not a number")
-    return np.asarray(probs, dtype=float)
+    return _float_list(probs, "probability")
 
 
 def load_json(path: str):

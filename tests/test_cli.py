@@ -285,6 +285,40 @@ class TestBadInput:
         assert out == ""
         assert "error" in err
 
+    ONE_STATE = '[{"rows": 1, "cols": 1, "data": [[1, 0]]}, {"rows": 1, "cols": 1, "data": [[1, 0]]}]'
+    HOSTILE = {
+        "bool-dims": ("entropy --state {}", '{"rows": true, "cols": true, "data": [[1, 0]]}',
+                      "rows/cols must be positive integers"),
+        "huge-int": ("entropy --state {}", '{"rows": 1, "cols": 1, "data": [[1' + "0" * 400 + ', 0]]}',
+                     "data[0] must be a pair of finite float64 numbers"),
+        "infinity": ("entropy --state {}", '{"rows": 1, "cols": 2, "data": [[1, 0], [0, Infinity]]}',
+                     "data[1] must be a pair of finite float64 numbers"),
+        "1e999-model": ("kraus --model {}", '{"unitary": {"rows": 1, "cols": 1, "data": [[1e999, 0]]}, '
+                        '"dim_s": 1, "dim_e": 1}', "data[0] must be a pair of finite float64 numbers"),
+        "string-weights": ("prop2 --ensemble {}", '{"weights": ["0.5", "0.5"], "states": ' + ONE_STATE + "}",
+                           "weight '0.5' is not a number"),
+        "bool-weights": ("prop2 --ensemble {}", '{"weights": [true, false], "states": ' + ONE_STATE + "}",
+                         "weight True is not a number"),
+        "null-weight": ("prop2 --ensemble {}", '{"weights": [null, 1], "states": ' + ONE_STATE + "}",
+                        "weight None is not a number"),
+        "nan-weight": ("prop2 --ensemble {}", '{"weights": [NaN, 1], "states": ' + ONE_STATE + "}",
+                       "weight nan is not a finite float64"),
+        "nan-probs": ("bridge --partition {part} --dist {}", '{"probs": [0.5, NaN]}',
+                      "probability nan is not a finite float64"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(HOSTILE))
+    def test_hostile_numbers_exit_1_with_one_error_line(self, capsys, tmp_path, case):
+        argv, text, message = self.HOSTILE[case]
+        path = tmp_path / "hostile.json"
+        path.write_text(text, encoding="utf-8")
+        part = write_json(tmp_path / "part.json", {"blocks": [[0, 1]]})
+        code, out, err = run_cli(capsys, *[a.format(str(path), part=part) for a in argv.split()])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("logent: error: ") and err.count("\n") == 1
+        assert message in err and "Traceback" not in err
+
     def test_malformed_json(self, capsys, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json", encoding="utf-8")

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import numpy.testing as npt
@@ -28,19 +29,74 @@ def test_matrix_rejects_wrong_data_length():
                           "data": [[1, 0], [0, 0], [0, 0], [0, 0], [9, 9]]})
 
 
+def _loop_from_json(obj):
+    """Reference reader: one complex(re, im) per pair, as the wire format reads."""
+    return np.array([complex(re, im) for re, im in obj["data"]],
+                    dtype=np.complex128).reshape(obj["rows"], obj["cols"])
+
+
+def _same_bits(a, b):
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def test_matrix_reader_is_bit_identical_to_pair_loop():
+    rng = np.random.default_rng(11)
+    for _ in range(300):
+        rows, cols = rng.integers(1, 6, size=2)
+        mant = rng.standard_normal((rows, cols, 2))
+        m = mant * 10.0 ** rng.integers(-300, 301, size=(rows, cols, 2))
+        obj = {"rows": int(rows), "cols": int(cols), "data": m.reshape(-1, 2).tolist()}
+        for text in (obj, json.loads(json.dumps(obj))):
+            assert _same_bits(matrix_from_json(text), _loop_from_json(text))
+    # integers past float64's exact range round like float(); numpy scalars too
+    big = [2**53 + 1, 2**63 + 1, -(2**64) - 3, 10**300 + 7, 3**600]
+    scalars = [np.float32(0.1), np.int64(-7), np.float64(-0.0), np.uint8(200),
+               np.float16(1e-7), np.int32(2**31 - 1)]
+    entries = big + scalars + [-0.0, 5e-324, 1.7976931348623157e308, 0, -1]
+    data = [[entries[k], entries[-1 - k]] for k in range(len(entries))]
+    obj = {"rows": 1, "cols": len(data), "data": data}
+    assert _same_bits(matrix_from_json(obj), _loop_from_json(obj))
+
+
+def test_matrix_writer_equals_per_element_comprehension():
+    rng = np.random.default_rng(12)
+    m = rng.standard_normal((6, 8)) + 1j * rng.standard_normal((6, 8))
+    m[0, 0] = -0.0 - 0.0j
+    for view in (m, m[1::2, ::3], m.T, m[:1, ::2], m.real):
+        want = [[float(x.real), float(x.imag)] for x in np.asarray(view, dtype=complex).reshape(-1)]
+        got = matrix_to_json(view)
+        assert got["data"] == want
+        assert all(type(x) is float for pair in got["data"] for x in pair)
+        assert (got["rows"], got["cols"]) == view.shape
+        assert _same_bits(matrix_from_json(got), np.asarray(view, dtype=complex))
+
+
 def test_matrix_rejects_malformed_entries():
     with pytest.raises(ValueError, match="missing key"):
         matrix_from_json({"rows": 1, "cols": 1})
-    with pytest.raises(ValueError, match=r"data\[0\]"):
-        matrix_from_json({"rows": 1, "cols": 1, "data": [[1.0]]})
-    with pytest.raises(ValueError, match=r"data\[0\]"):
-        matrix_from_json({"rows": 1, "cols": 1, "data": [[True, 0.0]]})
-    with pytest.raises(ValueError, match=r"data\[1\]"):
-        matrix_from_json({"rows": 1, "cols": 2, "data": [[1.0, 0.0], ["x", 0.0]]})
-    with pytest.raises(ValueError, match="positive integers"):
-        matrix_from_json({"rows": 0, "cols": 1, "data": []})
     with pytest.raises(ValueError, match="JSON object"):
         matrix_from_json([[1, 0]])
+    for rows, cols in ((0, 1), (True, True), (1, 1.0), (2, "2")):
+        msg = f"rows/cols must be positive integers, got {rows!r}/{cols!r}"
+        with pytest.raises(ValueError, match=re.escape(msg)):
+            matrix_from_json({"rows": rows, "cols": cols, "data": [[1, 0]]})
+    pair = "data[{}] must be a [re, im] pair of numbers, got {!r}"
+    finite = "data[{}] must be a pair of finite float64 numbers, got {!r}"
+    good = [0.5, -0.25]
+    cases = [(pair, [1.0]), (pair, [True, 0.0]), (pair, ["x", 0.0]), (pair, [0.0, None]),
+             (pair, [1, 2, 3]), (pair, (1.0, 0.0)), (pair, None), (pair, {"re": 1}),
+             (pair, [[1.0], 0.0]), (finite, [float("nan"), 0.0]),
+             (finite, [1.0, float("-inf")]), (finite, [10**400, 0]), (finite, [0, -(10**309)])]
+    for template, bad in cases:
+        for k in (0, 2):
+            data = [good] * k + [bad] + [good] * (3 - k)
+            with pytest.raises(ValueError, match=re.escape(template.format(k, bad))):
+                matrix_from_json({"rows": 2, "cols": 2, "data": data})
+    # the first bad pair is named, whichever check it fails
+    data = [good, [float("nan"), 0.0], ["x", 0.0], good]
+    with pytest.raises(ValueError, match=re.escape(finite.format(1, data[1]))):
+        matrix_from_json({"rows": 2, "cols": 2, "data": data})
 
 
 def test_model_round_trip():
@@ -83,12 +139,30 @@ def test_ensemble_from_json():
         ensemble_from_json({"weights": [1.0]})
 
 
+def test_ensemble_weights_must_be_finite_numbers():
+    state = matrix_to_json(np.diag([1.0, 0.0]).astype(complex))
+    for bad, what in (("0.5", "not a number"), (True, "not a number"),
+                      (None, "not a number"), ([0.5], "not a number"),
+                      (float("nan"), "not a finite float64"),
+                      (float("inf"), "not a finite float64"),
+                      (10**400, "not a finite float64")):
+        obj = {"weights": [0.5, bad], "states": [state, state]}
+        with pytest.raises(ValueError, match=re.escape(f"weight {bad!r} is {what}")):
+            ensemble_from_json(obj)
+    ens = ensemble_from_json({"weights": [1, 0], "states": [state, state]})
+    npt.assert_array_equal(ens.weights, [1.0, 0.0])
+
+
 def test_distribution_from_json():
     npt.assert_array_equal(distribution_from_json({"probs": [0.25, 0.75]}), [0.25, 0.75])
     with pytest.raises(ValueError, match="probs"):
         distribution_from_json({"weights": [1.0]})
-    with pytest.raises(ValueError, match="not a number"):
-        distribution_from_json({"probs": [0.5, "0.5"]})
+    for bad in ("0.5", False, None):
+        with pytest.raises(ValueError, match=re.escape(f"probability {bad!r} is not a number")):
+            distribution_from_json({"probs": [0.5, bad]})
+    for bad in (float("nan"), float("-inf"), 10**400):
+        with pytest.raises(ValueError, match=re.escape(f"probability {bad!r} is not a finite")):
+            distribution_from_json({"probs": [bad, 0.5]})
 
 
 def test_dump_and_load_json(tmp_path):
