@@ -21,6 +21,12 @@ Equality analysis splits into two steps, both reported by
 verify_entropy_bound: projecting the coupled state onto its diagonal
 blocks yields entropy 1 - sum_i tr(B[i, i]^2), exactly equal to the bound
 for pure input, and the traced output never exceeds the projected entropy.
+
+verify_entropy_bound reads every block weight off the Kraus stack,
+W_ij = tr(A_i rho A_j rho) with A_i = E_i† E_i, and never builds the
+coupled state. couple, block_decompose and off_block_bound (with
+linalg.partial_trace) build it densely and stay as the independent
+route the Kraus route is checked against.
 """
 from __future__ import annotations
 
@@ -28,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, as_complex_matrix, hermiticity_defect, partial_trace
+from .linalg import DEFAULT_TOL, as_complex_matrix, hermiticity_defect
 from .states import logical_entropy, purity, validate_density
 
 
@@ -78,11 +84,16 @@ def _isometry(model: CouplingModel) -> np.ndarray:
     return model.unitary[:, model.env_init * ds:(model.env_init + 1) * ds]
 
 
-def couple(rho, model: CouplingModel) -> np.ndarray:
-    """Joint state U (|e0><e0| (x) rho) U† = V rho V† on E (x) S."""
-    rho = as_complex_matrix(rho)
+def _on_system(rho: np.ndarray, model: CouplingModel) -> np.ndarray:
+    """rho, after checking that it lives on the model's system side."""
     if rho.shape != (model.dim_s, model.dim_s):
         raise ValueError(f"dimension mismatch: state is {rho.shape}, model system side is {model.dim_s}")
+    return rho
+
+
+def couple(rho, model: CouplingModel) -> np.ndarray:
+    """Joint state U (|e0><e0| (x) rho) U† = V rho V† on E (x) S."""
+    rho = _on_system(as_complex_matrix(rho), model)
     v = _isometry(model)
     return v @ rho @ v.conj().T
 
@@ -147,15 +158,22 @@ def block_decompose(joint, dim_s: int, dim_e: int, tol: float = DEFAULT_TOL) -> 
     return joint.reshape(dim_e, dim_s, dim_e, dim_s).swapaxes(1, 2)
 
 
-def _block_weights(blocks: np.ndarray) -> np.ndarray:
-    """W_ij = ||B_ij||_F^2, the Frobenius weight of every block."""
-    return np.einsum("ijab,ijab->ij", blocks, blocks.conj()).real
+def _block_weights(rho: np.ndarray, ops: np.ndarray) -> np.ndarray:
+    """W_ij = tr(A_i rho A_j rho) with A_i = E_i† E_i, as a complex matrix.
+
+    For Hermitian rho, W_ij = ||E_i rho E_j†||_F^2: the Frobenius weight
+    of block (i, j) of the coupled state for Kraus operators, and of
+    P_i rho P_j for projectors. With X_i = A_i rho, W_ij = tr(X_i X_j) is
+    one product of the flattened stack with its flattened transpose.
+    """
+    x = ops.conj().swapaxes(1, 2) @ ops @ rho
+    return x.reshape(len(x), -1) @ x.swapaxes(1, 2).reshape(len(x), -1).T
 
 
 def off_block_bound(blocks: np.ndarray) -> float:
     """Total Frobenius weight of the off-diagonal blocks,
     sum_{i != j} tr(B_ij B_ij†)."""
-    w = _block_weights(blocks)
+    w = np.einsum("ijab,ijab->ij", blocks, blocks.conj()).real
     return float(w[~np.eye(len(w), dtype=bool)].sum())
 
 
@@ -179,21 +197,22 @@ class BoundReport:
 
 
 def verify_entropy_bound(rho, model: CouplingModel, tol: float = DEFAULT_TOL) -> BoundReport:
-    """Couple rho to the environment and compare output entropy with the
-    off-block bound.
+    """Push rho through the model's channel and compare output entropy
+    with the off-block bound.
 
     The inequality h(out) <= bound is guaranteed for pure rho. Mixed
     inputs are processed all the same, with hypothesis_pure=False in the
-    report; their slack may legitimately be negative.
+    report; their slack may legitimately be negative. The output comes
+    from the Kraus operators, and the bound and the projected entropy are
+    separate sums of one block-weight matrix W: the off-diagonal sum and
+    1 - tr W.
     """
-    rho = validate_density(rho, tol=tol)
-    joint = couple(rho, model)
-    out = partial_trace(joint, model.dim_e, model.dim_s, keep="b")
-    # the bound and the projected entropy are separate sums of one block-weight matrix
-    w = _block_weights(block_decompose(joint, model.dim_s, model.dim_e, tol=tol))
-    bound = float(w[~np.eye(model.dim_e, dtype=bool)].sum())
-    entropy = logical_entropy(out)
-    projected = 1.0 - float(np.trace(w))
+    rho = _on_system(validate_density(rho, tol=tol), model)
+    ops = extract_kraus(model)
+    w = _block_weights(rho, ops)
+    bound = float(w[~np.eye(model.dim_e, dtype=bool)].sum().real)
+    entropy = logical_entropy(apply_channel(rho, ops))
+    projected = 1.0 - float(np.trace(w).real)
     return BoundReport(
         entropy=entropy,
         bound=bound,
@@ -255,9 +274,7 @@ def exchange_entropy(rho, model: CouplingModel, tol: float = DEFAULT_TOL) -> Exc
     (I_R (x) E_i)|RS><RS|(I_R (x) E_j)† has rank one, the off-block bound
     is sum_{i != j} W_ii W_jj. The purification is never built.
     """
-    rho = validate_density(rho, tol=tol)
-    if rho.shape != (model.dim_s, model.dim_s):
-        raise ValueError(f"dimension mismatch: state is {rho.shape}, model system side is {model.dim_s}")
+    rho = _on_system(validate_density(rho, tol=tol), model)
     ops = extract_kraus(model)
     w = (ops @ rho).reshape(model.dim_e, -1) @ ops.reshape(model.dim_e, -1).conj().T
     tr_dev = abs(complex(np.trace(w)) - 1.0)

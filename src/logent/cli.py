@@ -173,8 +173,10 @@ def _cmd_bound(parser, args) -> tuple[int, dict]:
     payload = {"entropy": report.entropy, "bound": report.bound, "slack": report.slack,
                "projected_entropy": report.projected_entropy,
                "hypothesis_pure": report.hypothesis_pure}
-    code = EXIT_CONTRADICTION if (report.hypothesis_pure and report.slack < -args.tol) else EXIT_OK
-    return code, payload
+    # the proof steps: entropy <= projected always, projected == bound for pure input
+    broken = not report.entropy_le_projected or report.hypothesis_pure and (
+        report.slack < -args.tol or not report.projected_equals_bound)
+    return (EXIT_CONTRADICTION if broken else EXIT_OK), payload
 
 
 def _cmd_apply(parser, args) -> tuple[int, dict]:

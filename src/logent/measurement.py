@@ -1,20 +1,24 @@
 """Projective measurements and how they move logical entropy.
 
 For a complete set of orthogonal projectors {P_i}, the unread
-post-measurement state is rho_hat = sum_i P_i rho P_i. When the
-projectors are diagonal in the computational basis (a partition of the
-basis indices into blocks), projecting simply zeroes every entry of rho
-that straddles two blocks, which gives exact bookkeeping:
+post-measurement state is rho_hat = sum_i P_i rho P_i: the channel whose
+Kraus operators are the projectors. The purity of rho splits exactly
+into the weights of the blocks P_i rho P_j,
 
-    tr(rho^2) = tr(rho_hat^2) + (off-block Frobenius weight)
+    tr(rho^2) = sum_i ||P_i rho P_i||_F^2 + sum_{i != j} ||P_i rho P_j||_F^2,
 
-so measurement raises logical entropy by exactly the weight it erases,
-and never lowers it.
+and the first sum is tr(rho_hat^2), so measurement raises logical
+entropy by exactly the off-block weight it erases, and never lowers it.
+Both sums come from the block-weight matrix the channel layer uses for
+the off-block bound. When the projectors are diagonal in the
+computational basis (a partition of the basis indices into blocks),
+projecting simply zeroes every entry of rho that straddles two blocks.
 """
 from __future__ import annotations
 
 import numpy as np
 
+from .channels import _block_weights, apply_channel
 from .linalg import DEFAULT_TOL, as_complex_matrix
 from .states import logical_entropy
 
@@ -51,96 +55,70 @@ def projectors_from_partition(blocks, dim: int) -> list[np.ndarray]:
     return ps
 
 
-def validate_projectors(ps, tol: float = 1e-10) -> list[np.ndarray]:
+def validate_projectors(ps, tol: float = 1e-10) -> np.ndarray:
     """Check a complete orthogonal projector set: each P Hermitian and
-    idempotent, P_i P_j = 0 for i != j, and sum_i P_i = I."""
-    ps = [as_complex_matrix(p) for p in ps]
-    if not ps:
+    idempotent, P_i P_j = 0 for i != j, and sum_i P_i = I.
+
+    Returns the set as one (k, n, n) stack. The first failing check is
+    reported, projector by projector in order, then pair by pair.
+    """
+    mats = [as_complex_matrix(p) for p in ps]
+    if not mats:
         raise ValueError("empty projector set")
-    dim = ps[0].shape[0]
-    acc = np.zeros((dim, dim), dtype=np.complex128)
-    for k, p in enumerate(ps):
-        if p.shape != (dim, dim):
-            raise ValueError(f"projector {k} has shape {p.shape}, expected {(dim, dim)}")
-        if not np.max(np.abs(p - p.conj().T)) <= tol:
-            raise ValueError(f"projector {k} is not Hermitian within {tol:.1e}")
-        if not np.max(np.abs(p @ p - p)) <= tol:
-            raise ValueError(f"projector {k} is not idempotent within {tol:.1e}")
-        acc += p
-    for i in range(len(ps)):
-        for j in range(i + 1, len(ps)):
-            if not np.max(np.abs(ps[i] @ ps[j])) <= tol:
-                raise ValueError(f"projectors {i} and {j} are not orthogonal within {tol:.1e}")
-    if not np.max(np.abs(acc - np.eye(dim))) <= tol:
+    dim = mats[0].shape[0]
+    shaped = next((i for i, p in enumerate(mats) if p.shape != (dim, dim)), len(mats))
+    ps = np.array(mats[:shaped]).reshape(shaped, dim, dim)
+    herm = np.abs(ps - ps.conj().swapaxes(1, 2)).max(axis=(1, 2))
+    idem = np.abs(ps @ ps - ps).max(axis=(1, 2))
+    bad = np.flatnonzero(~((herm <= tol) & (idem <= tol)))
+    if bad.size:
+        defect = "Hermitian" if not herm[bad[0]] <= tol else "idempotent"
+        raise ValueError(f"projector {bad[0]} is not {defect} within {tol:.1e}")
+    if shaped < len(mats):
+        raise ValueError(f"projector {shaped} has shape {mats[shaped].shape}, expected {(dim, dim)}")
+    for i in range(shaped - 1):
+        bad = np.flatnonzero(~(np.abs(ps[i] @ ps[i + 1:]).max(axis=(1, 2)) <= tol))
+        if bad.size:
+            raise ValueError(f"projectors {i} and {i + 1 + bad[0]} are not orthogonal within {tol:.1e}")
+    if not np.max(np.abs(ps.sum(axis=0) - np.eye(dim))) <= tol:
         raise ValueError(f"projectors do not sum to the identity within {tol:.1e}")
     return ps
 
 
 def project(rho, ps) -> np.ndarray:
     """Unread post-measurement state sum_i P_i rho P_i."""
-    rho = as_complex_matrix(rho)
-    out = np.zeros_like(rho)
-    for p in ps:
-        p = as_complex_matrix(p)
-        if p.shape != rho.shape:
-            raise ValueError(f"dimension mismatch: projector {p.shape} against state {rho.shape}")
-        out += p @ rho @ p
-    return out
-
-
-def _block_labels(ps, tol: float = 1e-10) -> np.ndarray:
-    """Map each basis index to the projector that owns it.
-
-    Requires every projector to be diagonal with 0/1 entries (a basis
-    partition); rotated projector sets are rejected.
-    """
-    ps = [as_complex_matrix(p) for p in ps]
-    dim = ps[0].shape[0]
-    labels = np.full(dim, -1, dtype=int)
-    for k, p in enumerate(ps):
-        off = p - np.diag(np.diagonal(p))
-        if np.max(np.abs(off)) > tol:
-            raise ValueError(f"projector {k} is not diagonal: basis-aligned partition required")
-        d = np.diagonal(p)
-        if np.max(np.abs(d.imag)) > tol or np.max(np.abs(d.real * (1 - d.real))) > tol:
-            raise ValueError(f"projector {k} diagonal is not 0/1: basis-aligned partition required")
-        members = np.nonzero(d.real > 0.5)[0]
-        for i in members:
-            if labels[i] != -1:
-                raise ValueError(f"projectors overlap at basis index {i}")
-            labels[i] = k
-    if np.any(labels < 0):
-        raise ValueError("projectors do not cover every basis index")
-    return labels
+    return apply_channel(rho, ps)
 
 
 def purity_decomposition(rho, ps) -> tuple[float, float]:
     """Split tr(rho^2) into the projected part and the off-block weight.
 
-    Returns (tr(rho_hat^2), mass) with mass = sum of |rho_ij|^2 over all
-    entries whose row and column fall in different blocks, so that
-    tr(rho^2) = tr(rho_hat^2) + mass exactly. Only basis-aligned
-    projector sets qualify. The cross-pair sum is formed in complex
-    arithmetic first; a nonreal residue above 1e-12 signals a non-Hermitian
-    input and is a hard error rather than something to discard.
+    ps is any complete orthogonal projector set, checked with
+    validate_projectors; a basis partition is the special case. Returns
+    (tr(rho_hat^2), mass) with mass = sum_{i != j} ||P_i rho P_j||_F^2,
+    so that tr(rho^2) = tr(rho_hat^2) + mass exactly. For a basis
+    partition, mass is the sum of |rho_ab|^2 over the entries whose row
+    and column fall in different blocks. The cross-pair sum is formed in
+    complex arithmetic first; a nonreal residue above 1e-12 signals a
+    non-Hermitian input and is a hard error rather than something to
+    discard.
     """
     rho = as_complex_matrix(rho)
-    labels = _block_labels(ps)
-    if labels.shape[0] != rho.shape[0]:
-        raise ValueError(f"dimension mismatch: projectors cover {labels.shape[0]} indices, state is {rho.shape}")
-    off = labels[:, None] != labels[None, :]
-    pair_sum = complex(np.sum(rho[off] * rho.T[off]))
+    ps = validate_projectors(ps)
+    if ps.shape[1:] != rho.shape:
+        raise ValueError(f"dimension mismatch: projectors are {ps.shape[1:]}, state is {rho.shape}")
+    w = _block_weights(rho, ps)
+    pair_sum = complex(w[~np.eye(len(w), dtype=bool)].sum())
     if abs(pair_sum.imag) > 1e-12:
         raise ValueError(f"off-block pair sum has imaginary residue {pair_sum.imag:.3e}; input not Hermitian")
-    mass = float(np.sum(np.abs(rho[off]) ** 2))
-    projected = np.where(off, 0.0, rho)  # basis-aligned projectors only zero the cross-block entries
-    return float(np.vdot(projected, projected).real), mass
+    return float(np.trace(w).real), pair_sum.real
 
 
 def entropy_gain(rho, ps) -> float:
     """h(rho_hat) - h(rho): entropy added by an unread measurement.
 
-    For basis-aligned projectors this equals the off-block weight that
+    For any complete orthogonal projector set, a basis partition being
+    the special case, this equals the off-block weight that
     purity_decomposition reports.
     """
     return logical_entropy(project(rho, ps)) - logical_entropy(rho)

@@ -269,25 +269,36 @@ class TestVerifyEntropyBound:
             verify_entropy_bound(np.eye(2), coupling_model(0.5))
 
     def test_projected_entropy_matches_dense_projection(self):
-        # the joint state with every off-diagonal block zeroed, built densely
-        for seed in range(8):
+        # the report reads the Kraus stack; the coupled state built densely is its oracle
+        for seed in range(16):
             ds, de = 2 + seed % 3, 2 + seed % 4
             model = CouplingModel(random_unitary(ds * de, seed), ds, de,
                                   env_init=seed % de)
             rho = (random_density(ds, seed + 30) if seed % 2
                    else density_from_pure(random_pure_state(ds, seed + 30)))
+            joint = couple(rho, model)
             mask = np.kron(np.eye(de), np.ones((ds, ds)))
-            dense = logical_entropy(couple(rho, model) * mask)
             report = verify_entropy_bound(rho, model)
-            assert abs(report.projected_entropy - dense) < 1e-12
+            assert abs(report.projected_entropy - logical_entropy(joint * mask)) < 1e-12
+            assert abs(report.bound - off_block_bound(block_decompose(joint, ds, de))) < 1e-12
+            assert abs(report.entropy
+                       - logical_entropy(partial_trace(joint, de, ds, keep="b"))) < 1e-12
 
-    def test_tol_reaches_block_decompose(self):
-        # trace 1 + 1e-7 is within tol=1e-6, for the joint state as well
+    def test_tol_reaches_the_density_check(self):
+        # trace 1 + 1e-7 is within tol=1e-6; block_decompose at its default tol
+        # refuses the coupled state of the same input
         rho = np.diag([1 + 1e-7, 0]).astype(complex)
         report = verify_entropy_bound(rho, coupling_model(0.3), tol=1e-6)
         assert report.hypothesis_pure
         with pytest.raises(ValueError, match="trace"):
+            verify_entropy_bound(rho, coupling_model(0.3))
+        with pytest.raises(ValueError, match="trace"):
             block_decompose(couple(rho, coupling_model(0.3)), 2, 2)
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(ValueError, match=r"dimension mismatch: state is \(3, 3\), "
+                                             r"model system side is 2"):
+            verify_entropy_bound(np.eye(3) / 3, coupling_model(0.3))
 
 
 class TestEnvRotation:

@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+import logent.cli
 import logent.fuzz
 from logent.cli import main
 from logent.serialization import dump_json, matrix_to_json, model_to_json
@@ -82,6 +83,28 @@ class TestBound:
                                    "--channel", "amplitude-damping",
                                    "--theta", str(np.pi / 4))
         assert (code_a, out_a) == (code_b, out_b)
+
+
+    @pytest.mark.parametrize("state,change,code", [
+        ("plus", {"entropy_le_projected": False}, 2),
+        ("mixed", {"entropy_le_projected": False}, 2),
+        ("plus", {"projected_equals_bound": False}, 2),
+        ("mixed", {"projected_equals_bound": False}, 0),
+    ])
+    def test_failed_proof_step_exits_2(self, capsys, monkeypatch, plus_state, mixed_state,
+                                       state, change, code):
+        # entropy <= projected is guaranteed for every input, projected == bound
+        # only under hypothesis_pure; the payload keys stay the same either way
+        real = logent.cli.verify_entropy_bound
+        monkeypatch.setattr(logent.cli, "verify_entropy_bound",
+                            lambda rho, model, tol: dataclasses.replace(real(rho, model, tol),
+                                                                        **change))
+        got, out, _ = run_cli(capsys, "bound",
+                              "--state", plus_state if state == "plus" else mixed_state,
+                              "--channel", "amplitude-damping", "--theta", "0.7")
+        assert got == code
+        assert set(json.loads(out)) == {"entropy", "bound", "slack", "projected_entropy",
+                                        "hypothesis_pure"}
 
 
 class TestApplyAndKraus:

@@ -90,10 +90,52 @@ def test_purity_decomposition_identity_random():
         assert abs(purity(rho) - (projected_purity + mass)) < 1e-12
 
 
-def test_purity_decomposition_rejects_rotated_projectors():
-    rho = random_density(3, 2)
-    with pytest.raises(ValueError, match="basis-aligned"):
-        purity_decomposition(rho, rotated_projectors([[0], [1, 2]], 3, 7))
+def test_purity_decomposition_rotated_projectors_match_dense_oracle():
+    # any complete orthogonal projector set splits the purity, not only a basis partition
+    for seed in range(40):
+        dim = 2 + seed % 6
+        rho = density_from_pure(random_pure_state(dim, seed)) if seed % 2 else random_density(dim, seed)
+        mid = 1 + seed % (dim - 1)
+        ps = rotated_projectors([list(range(mid)), list(range(mid, dim))], dim, seed + 50)
+        projected_purity, mass = purity_decomposition(rho, ps)
+        cross = sum(np.vdot(p @ rho @ q, p @ rho @ q).real
+                    for i, p in enumerate(ps) for j, q in enumerate(ps) if i != j)
+        measured = project(rho, ps)
+        assert abs(mass - cross) < 1e-12
+        assert abs(projected_purity - purity(measured)) < 1e-12
+        assert abs(purity(rho) - (projected_purity + mass)) < 1e-12
+        assert abs(entropy_gain(rho, ps) - mass) < 1e-12
+
+
+def test_purity_decomposition_rejects_overlapping_and_incomplete_sets():
+    rho = random_density(3, 4)
+    p0, p1, p2 = rotated_projectors([[0], [1], [2]], 3, 5)
+    with pytest.raises(ValueError, match="projectors 0 and 2 are not orthogonal"):
+        purity_decomposition(rho, [p0, p1, p0 + p1])
+    with pytest.raises(ValueError, match="identity"):
+        purity_decomposition(rho, [p0, p1])
+
+
+def test_purity_decomposition_dimension_mismatch():
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        purity_decomposition(np.eye(3) / 3, projectors_from_partition([[0], [1]], 2))
+
+
+def test_validate_projectors_returns_stack_and_reports_in_order():
+    ps = projectors_from_partition([[0, 2], [1]], 3)
+    stack = validate_projectors(ps)
+    assert stack.shape == (2, 3, 3)
+    npt.assert_array_equal(stack, np.array(ps))
+    # projector 0 fails idempotence before projector 1 fails Hermiticity or shape
+    half = np.eye(2) * 0.5
+    with pytest.raises(ValueError, match="projector 0 is not idempotent"):
+        validate_projectors([half, np.array([[1, 1], [0, 0]]), np.eye(3)])
+    with pytest.raises(ValueError, match="projector 1 is not Hermitian"):
+        validate_projectors([np.diag([1.0, 0.0]), np.array([[0, 1], [0, 1]]), np.eye(3)])
+    with pytest.raises(ValueError, match=r"projector 1 has shape \(3, 3\)"):
+        validate_projectors([np.diag([1.0, 0.0]), np.eye(3), half])
+    with pytest.raises(ValueError, match=r"projector 0 has shape \(2, 3\)"):
+        validate_projectors([np.ones((2, 3))])
 
 
 def test_purity_decomposition_imaginary_residue_is_hard_error():
