@@ -134,7 +134,12 @@ def apply_channel(rho, ops) -> np.ndarray:
     ops = _operator_stack(ops)
     if ops.shape[2] != rho.shape[0]:
         raise ValueError(f"dimension mismatch: operator {ops.shape[1:]} against state {rho.shape}")
-    return (ops @ rho @ ops.conj().swapaxes(1, 2)).sum(axis=0)
+    return _channel(rho, ops)
+
+
+def _channel(rho: np.ndarray, ops: np.ndarray) -> np.ndarray:
+    """apply_channel over stacks: rho (..., n, n) and ops (..., k, m, n)."""
+    return (ops @ rho[..., None, :, :] @ ops.conj().swapaxes(-1, -2)).sum(axis=-3)
 
 
 def block_decompose(joint, dim_s: int, dim_e: int, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -165,9 +170,11 @@ def _block_weights(rho: np.ndarray, ops: np.ndarray) -> np.ndarray:
     of block (i, j) of the coupled state for Kraus operators, and of
     P_i rho P_j for projectors. With X_i = A_i rho, W_ij = tr(X_i X_j) is
     one product of the flattened stack with its flattened transpose.
+    Works over stacks: rho (..., n, n) and ops (..., k, n, n).
     """
-    x = ops.conj().swapaxes(1, 2) @ ops @ rho
-    return x.reshape(len(x), -1) @ x.swapaxes(1, 2).reshape(len(x), -1).T
+    x = ops.conj().swapaxes(-1, -2) @ ops @ rho[..., None, :, :]
+    rows = x.shape[:-2]
+    return x.reshape(*rows, -1) @ x.swapaxes(-1, -2).reshape(*rows, -1).swapaxes(-1, -2)
 
 
 def off_block_bound(blocks: np.ndarray) -> float:

@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import numpy as np
 
+from .channels import _channel
 from .linalg import DEFAULT_TOL
-from .measurement import project, projectors_from_partition, validate_partition
-from .states import _rng, logical_entropy
+from .measurement import _partition_projectors, _validate_projectors, validate_partition
+from .states import _purities, _rng
 
 _AGREE = 1e-12  # two independently computed routes must agree this tightly
 
@@ -81,11 +82,17 @@ def bridge_entropies(probs, blocks) -> tuple[float, float]:
     used exactly as given (partition_entropy validates it); pass it
     through validate_distribution first to renormalize.
     """
-    h_classical = partition_entropy(probs, blocks)
-    p = np.asarray(probs, dtype=float).reshape(-1)
-    amps = np.sqrt(p).astype(np.complex128)
-    measured = project(np.outer(amps, amps.conj()), projectors_from_partition(blocks, p.shape[0]))
-    return h_classical, logical_entropy(measured)
+    h_classical, h_quantum = _bridges(np.asarray(probs, dtype=float).reshape(1, -1), [blocks])
+    return float(h_classical[0]), float(h_quantum[0])
+
+
+def _bridges(probs: np.ndarray, partitions) -> tuple[np.ndarray, np.ndarray]:
+    """bridge_entropies over a (k, n) stack of distributions and k partitions."""
+    h_classical = np.array([partition_entropy(p, blocks) for p, blocks in zip(probs, partitions)])
+    amps = np.sqrt(probs).astype(np.complex128)
+    ps = _validate_projectors(_partition_projectors(partitions, probs.shape[1]))
+    measured = _channel(amps[:, :, None] * amps.conj()[:, None, :], ps)
+    return h_classical, 1.0 - _purities(measured)
 
 
 def bridge_check(probs, blocks, tol: float = 1e-10) -> bool:
@@ -103,6 +110,7 @@ def random_partition(n: int, seed) -> list[list[int]]:
     """Uniformly labeled partition of range(n) with a random block count."""
     rng = _rng(seed)
     k = int(rng.integers(1, n + 1))
-    labels = rng.integers(0, k, size=n)
-    blocks = [list(np.nonzero(labels == c)[0]) for c in range(k)]
-    return [[int(i) for i in b] for b in blocks if b]
+    blocks = [[] for _ in range(k)]
+    for i, c in enumerate(rng.integers(0, k, size=n).tolist()):
+        blocks[c].append(i)
+    return [b for b in blocks if b]

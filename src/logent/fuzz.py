@@ -6,6 +6,14 @@ uses exactly numpy's default_rng(s + t), so any failing trial can be
 regenerated from the summary alone, and trials could be farmed out in
 parallel without changing the outcome.
 
+A campaign runs in chunks of trials. Each chunk's trials are drawn in
+trial order, grouped by shape, and each group is evaluated at once
+through the same private stacked kernels that the public functions run
+on a single instance; the results are folded back in trial order. So the
+summary does not depend on the grouping or the chunk size. The theorem
+suite stacks its draws, then builds each trial's model and report with
+the public CouplingModel and verify_entropy_bound it checks.
+
 Suite names follow the command-line interface: "theorem" (the off-block
 bound), "prop1" (measurement purity bookkeeping), "prop2" (the mixing
 bound), "schmidt" (equal entropies of the two reductions of a bipartite
@@ -24,17 +32,21 @@ import math
 
 import numpy as np
 
-from .channels import CouplingModel, verify_entropy_bound
-from .classical import bridge_entropies, random_distribution, random_partition
-from .measurement import (entropy_gain, entropy_nondecreasing, projectors_from_partition,
-                          purity_decomposition)
-from .mixing import mixing_bound_report, random_ensemble, schmidt_entropy_pair
+from .channels import CouplingModel, _channel, verify_entropy_bound
+from .classical import _bridges, random_distribution, random_partition
+from .measurement import (_entropy_gains, _nondecreasing, _partition_projectors, _purity_split,
+                          _validate_projectors)
+from .mixing import _draw_ensemble, _ensembles, _mixing_bounds, _schmidt_pairs
 from .serialization import matrix_to_json, model_to_json
-from .states import (density_from_pure, purity, random_density, random_pure_state,
-                     random_unitary)
+from .states import _gaussian, _haar, _pure_densities, _purities, _random_states, _unit
 
 _MAX_RECORDED = 3  # failing trials kept in the summary, with full inputs
 _MAX_COMPONENTS = 6  # largest ensemble drawn by the mixing suite
+_CHUNK = 128  # most trials drawn and evaluated together
+_CHUNK_BYTES = 1 << 23  # and most bytes of draws, so large dimensions stay small in memory
+_GATE = 1e-9  # slacks and entropy monotonicity may fall this far below zero
+_IDENTITY = 1e-10  # largest residual of an identity
+_GATE_TEXT = np.format_float_scientific(_GATE, trim="-", exp_digits=1)  # "1e-9"
 
 
 def _dim(rng: np.random.Generator, dim_max: int) -> int:
@@ -45,30 +57,52 @@ def _dim(rng: np.random.Generator, dim_max: int) -> int:
     return int(rng.integers(lo, dim_max + 1))
 
 
-def _campaign(suite: str, trials: int, seed: int, worst0: float, pick, trial) -> dict:
-    """Run trial(t, rng) for t < trials on rng = default_rng(seed + t).
+def _campaign(suite: str, trials: int, seed: int, worst0: float, pick, draw, evaluate) -> dict:
+    """Run trials t < trials, each drawn by draw(t, rng) on rng = default_rng(seed + t).
 
-    A trial returns (values, failed_checks, inputs_thunk): values are
-    folded into the running worst with pick (min for slacks, max for
-    residuals), where a NaN wins and then sticks (pick(nan, x) is nan);
-    inputs_thunk builds the JSON inputs of a failing trial, called only
-    for the first _MAX_RECORDED failures.
+    draw returns (key, draws); trials with equal keys have draws of equal
+    shapes and are evaluated together by evaluate(key, [draws, ...]), which
+    returns (values, checks, inputs) over the group: values, arrays folded
+    in trial order into the running worst with pick (min for slacks, max
+    for residuals), where a NaN wins and then sticks; checks, (ok, message)
+    pairs with message(m) the failure text of member m; inputs(m), the JSON
+    inputs of a failing member, built for the first _MAX_RECORDED failures.
+    When a group raises, the chunk is evaluated again one trial at a time,
+    so that the lowest failing trial raises its own error.
     """
-    failures = 0
-    worst = worst0
-    recorded = []
-    for t in range(trials):
-        values, bad, inputs = trial(t, np.random.default_rng(seed + t))
-        worst = pick(worst, *values)
-        if any(math.isnan(v) for v in values):
-            worst = math.nan
-        if bad:
-            failures += 1
-            if len(recorded) < _MAX_RECORDED:
-                recorded.append({"trial": t, "seed": seed + t, "checks": bad, **inputs()})
+    failures, worst, recorded, t = 0, worst0, [], 0
+    while t < trials:
+        chunk, size = [], 0
+        while t < trials and len(chunk) < _CHUNK and size < _CHUNK_BYTES:
+            chunk.append(draw(t, np.random.default_rng(seed + t)))
+            size += sum(d.nbytes for d in chunk[-1][1] if isinstance(d, np.ndarray))
+            t += 1
+        groups = {}
+        for m, (key, _) in enumerate(chunk):
+            groups.setdefault(key, []).append(m)
+        results = [None] * len(chunk)
+        try:
+            for key, members in groups.items():
+                values, checks, inputs = evaluate(key, [chunk[m][1] for m in members])
+                for i, (m, row) in enumerate(zip(members, np.stack(values, axis=1).tolist())):
+                    results[m] = (row, [message(i) for ok, message in checks if not ok[i]], inputs, i)
+        except (ValueError, AssertionError):
+            for key, draws in chunk:
+                evaluate(key, [draws])
+            raise
+        for m, (values, bad, inputs, i) in enumerate(results, start=t - len(chunk)):
+            worst = math.nan if any(map(math.isnan, values)) else pick(worst, *values)
+            if bad:
+                failures += 1
+                if len(recorded) < _MAX_RECORDED:
+                    recorded.append({"trial": m, "seed": seed + m, "checks": bad, **inputs(i)})
     return {"suite": suite, "trials": trials, "failures": failures,
             "worst_slack": float(worst) if trials and math.isfinite(worst) else None,
             "seed": seed, "failed_trials": recorded}
+
+
+def _slack_check(slack: np.ndarray) -> tuple:
+    return slack >= -_GATE, lambda m: f"slack {float(slack[m])!r} < -{_GATE_TEXT}"
 
 
 def fuzz_bound(trials: int, dim_s_max: int, dim_e_max: int, seed: int) -> dict:
@@ -76,25 +110,29 @@ def fuzz_bound(trials: int, dim_s_max: int, dim_e_max: int, seed: int) -> dict:
 
     Checks per trial: slack >= -1e-9, and the report's two proof steps
     (projected entropy equals the bound, output entropy does not exceed
-    the projected entropy, both within verify_entropy_bound's tol).
+    the projected entropy, both within verify_entropy_bound's tol). Each
+    trial's model and report come from the public CouplingModel and
+    verify_entropy_bound, the functions this suite checks.
     """
-    def trial(t, rng):
-        ds = _dim(rng, dim_s_max)
-        de = _dim(rng, dim_e_max)
-        model = CouplingModel(random_unitary(ds * de, rng), dim_s=ds, dim_e=de)
-        rho = density_from_pure(random_pure_state(ds, rng))
-        report = verify_entropy_bound(rho, model)
-        bad = []
-        if not report.slack >= -1e-9:
-            bad.append(f"slack {report.slack!r} < -1e-9")
-        if not report.projected_equals_bound:
-            bad.append(f"projected {report.projected_entropy!r} != bound {report.bound!r}")
-        if not report.entropy_le_projected:
-            bad.append(f"entropy {report.entropy!r} > projected {report.projected_entropy!r}")
-        return ((report.slack,), bad,
-                lambda: {"state": matrix_to_json(rho), "model": model_to_json(model)})
+    def draw(t, rng):
+        ds, de = _dim(rng, dim_s_max), _dim(rng, dim_e_max)
+        return (ds, de), (_gaussian((ds * de, ds * de), rng), _gaussian(ds, rng))
 
-    return _campaign("theorem", trials, seed, np.inf, min, trial)
+    def evaluate(key, draws):
+        g, v = (np.array(x) for x in zip(*draws))
+        models = [CouplingModel(u, dim_s=key[0], dim_e=key[1]) for u in _haar(g)]
+        rho = _pure_densities(_unit(v))
+        r = [verify_entropy_bound(x, model) for x, model in zip(rho, models)]
+        slack = np.array([x.slack for x in r])
+        return [slack], [
+            _slack_check(slack),
+            ([x.projected_equals_bound for x in r],
+             lambda m: f"projected {r[m].projected_entropy!r} != bound {r[m].bound!r}"),
+            ([x.entropy_le_projected for x in r],
+             lambda m: f"entropy {r[m].entropy!r} > projected {r[m].projected_entropy!r}"),
+        ], lambda m: {"state": matrix_to_json(rho[m]), "model": model_to_json(models[m])}
+
+    return _campaign("theorem", trials, seed, np.inf, min, draw, evaluate)
 
 
 def fuzz_measurement(trials: int, dim_max: int, seed: int) -> dict:
@@ -105,83 +143,88 @@ def fuzz_measurement(trials: int, dim_max: int, seed: int) -> dict:
     purity identity within 1e-10, entropy gain == off-block weight within
     1e-10, entropy never decreases within 1e-9.
     """
-    def trial(t, rng):
+    def draw(t, rng):
         dim = _dim(rng, dim_max)
-        if t % 2 == 0:
-            rho = random_density(dim, rng)
-        else:
-            rho = density_from_pure(random_pure_state(dim, rng))
+        state = _gaussian(dim if t % 2 else (dim, dim), rng)
         blocks = random_partition(dim, rng)
-        ps = projectors_from_partition(blocks, dim)
-        projected_purity, mass = purity_decomposition(rho, ps)
-        residual = abs(purity(rho) - (projected_purity + mass))
-        gain = entropy_gain(rho, ps)
-        gain_residual = abs(gain - mass)
-        values = [residual, gain_residual]
-        bad = []
-        if not residual <= 1e-10:
-            bad.append(f"purity identity residual {residual!r}")
-        if not gain_residual <= 1e-10:
-            bad.append(f"entropy gain {gain!r} != off-block weight {mass!r}")
-        if not entropy_nondecreasing(rho, ps, tol=1e-9):
-            bad.append("entropy decreased under measurement")
-        if t % 2 == 1:
-            pure_residual = abs((1.0 - projected_purity) - mass)
-            values.append(pure_residual)
-            if not pure_residual <= 1e-10:
-                bad.append(f"pure-state projected entropy residual {pure_residual!r}")
-        return values, bad, lambda: {"state": matrix_to_json(rho),
-                                     "partition": {"blocks": blocks}}
+        return (dim, len(blocks)), (state, blocks, t % 2 == 1)
 
-    return _campaign("prop1", trials, seed, 0.0, max, trial)
+    def evaluate(key, draws):
+        raw, partitions, pure = zip(*draws)
+        rho = _random_states(raw, pure)
+        ps = _validate_projectors(_partition_projectors(partitions, key[0]))
+        projected, mass = _purity_split(rho, ps)
+        rho_hat = _channel(rho, ps)
+        gain = _entropy_gains(rho, rho_hat)
+        residual, gain_residual = np.abs(_purities(rho) - (projected + mass)), np.abs(gain - mass)
+        # only a pure state's projected entropy is the erased weight; 0 on mixed trials
+        pure_residual = np.where(pure, np.abs((1.0 - projected) - mass), 0.0)
+        return [residual, gain_residual, pure_residual], [
+            (residual <= _IDENTITY, lambda m: f"purity identity residual {float(residual[m])!r}"),
+            (gain_residual <= _IDENTITY,
+             lambda m: f"entropy gain {float(gain[m])!r} != off-block weight {float(mass[m])!r}"),
+            (_nondecreasing(rho, rho_hat, _GATE), lambda m: "entropy decreased under measurement"),
+            (pure_residual <= _IDENTITY,
+             lambda m: f"pure-state projected entropy residual {float(pure_residual[m])!r}"),
+        ], lambda m: {"state": matrix_to_json(rho[m]), "partition": {"blocks": partitions[m]}}
+
+    return _campaign("prop1", trials, seed, 0.0, max, draw, evaluate)
 
 
 def fuzz_mixing(trials: int, dim_max: int, seed: int) -> dict:
     """Mixing bound on random ensembles (pure members on even trials,
     mixed on odd; slack >= -1e-9 either way)."""
-    def trial(t, rng):
+    def draw(t, rng):
         dim = _dim(rng, dim_max)
         n = int(rng.integers(2, _MAX_COMPONENTS + 1))
-        ens = random_ensemble(dim, n, rng, pure=(t % 2 == 0))
-        slack = mixing_bound_report(ens).slack
-        bad = [] if slack >= -1e-9 else [f"slack {slack!r} < -1e-9"]
-        return (slack,), bad, lambda: {
-            "ensemble": {"weights": [float(w) for w in ens.weights],
-                         "states": [matrix_to_json(s) for s in ens.states]}}
+        return dim, (*_draw_ensemble(dim, n, rng, pure=(t % 2 == 0)), t % 2 == 0)
 
-    return _campaign("prop2", trials, seed, np.inf, min, trial)
+    def evaluate(key, draws):
+        w, raw, pure = zip(*draws)
+        ends = np.cumsum([len(x) for x in w])
+        starts = np.append(0, ends[:-1])
+        states = _random_states([x for r in raw for x in r], [p for r, p in zip(raw, pure) for _ in r])
+        w = _ensembles(w, states)
+        slack = _mixing_bounds(w, states, starts).slack
+        return [slack], [_slack_check(slack)], lambda m: {"ensemble": {
+            "weights": w[starts[m]:ends[m]].tolist(),
+            "states": [matrix_to_json(s) for s in states[starts[m]:ends[m]]]}}
+
+    return _campaign("prop2", trials, seed, np.inf, min, draw, evaluate)
 
 
 def fuzz_schmidt(trials: int, dim_a_max: int, dim_b_max: int, seed: int) -> dict:
     """Reduced-state entropies of random bipartite pure states agree
     within 1e-10, and each equals 1 - purity of its reduction."""
-    def trial(t, rng):
-        da = _dim(rng, dim_a_max)
-        db = _dim(rng, dim_b_max)
-        psi = random_pure_state(da * db, rng)
-        h_a, h_b = schmidt_entropy_pair(psi, da, db)
-        diff = abs(h_a - h_b)
-        bad = [] if diff <= 1e-10 else [f"reduction entropies differ by {diff!r}"]
-        return (diff,), bad, lambda: {"psi": matrix_to_json(psi.reshape(-1, 1)),
-                                      "dims": [da, db]}
+    def draw(t, rng):
+        da, db = _dim(rng, dim_a_max), _dim(rng, dim_b_max)
+        return (da, db), (_gaussian(da * db, rng),)
 
-    return _campaign("schmidt", trials, seed, 0.0, max, trial)
+    def evaluate(key, draws):
+        psi = _unit(np.array([v for v, in draws]))
+        h_a, h_b = _schmidt_pairs(psi, *key)
+        diff = np.abs(h_a - h_b)
+        return [diff], [(diff <= _IDENTITY, lambda m: f"reduction entropies differ by {float(diff[m])!r}")], \
+            lambda m: {"psi": matrix_to_json(psi[m].reshape(-1, 1)), "dims": list(key)}
+
+    return _campaign("schmidt", trials, seed, 0.0, max, draw, evaluate)
 
 
 def fuzz_bridge(trials: int, n_max: int, seed: int) -> dict:
     """Classical partition entropy vs quantum measurement entropy on the
     amplitude encoding, within 1e-10."""
-    def trial(t, rng):
+    def draw(t, rng):
         n = _dim(rng, n_max)
-        probs = random_distribution(n, rng)
-        blocks = random_partition(n, rng)
-        h_classical, h_quantum = bridge_entropies(probs, blocks)
-        diff = abs(h_quantum - h_classical)
-        bad = [] if diff <= 1e-10 else [f"bridge residual {diff!r}"]
-        return (diff,), bad, lambda: {"distribution": {"probs": [float(p) for p in probs]},
-                                      "partition": {"blocks": blocks}}
+        return n, (random_distribution(n, rng), random_partition(n, rng))
 
-    return _campaign("bridge", trials, seed, 0.0, max, trial)
+    def evaluate(key, draws):
+        probs, partitions = zip(*draws)
+        h_classical, h_quantum = _bridges(np.array(probs), partitions)
+        diff = np.abs(h_quantum - h_classical)
+        return [diff], [(diff <= _IDENTITY, lambda m: f"bridge residual {float(diff[m])!r}")], \
+            lambda m: {"distribution": {"probs": probs[m].tolist()}, "partition": {"blocks": partitions[m]}}
+
+    return _campaign("bridge", trials, seed, 0.0, max, draw, evaluate)
 
 
 # Suite name -> runner on the CLI's knobs: dim_s_max bounds the primary dimension

@@ -6,6 +6,8 @@ slowest, so the joint index is i_a * dim_b + i_b.
 """
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 DEFAULT_TOL = 1e-9
@@ -27,19 +29,36 @@ def hermiticity_defect(m) -> float:
     return float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
 
 
+def _first(ok: np.ndarray) -> int:
+    """Flat index of the first False (failed check) in a boolean array, else its size."""
+    i = int(ok.argmin()) if ok.size else 0
+    return i if ok.size and not ok.flat[i] else ok.size
+
+
+@functools.lru_cache(maxsize=None)
+def _pairs(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs i < j of k items in lexicographic order, as (i, j)."""
+    return np.triu_indices(k, 1)
+
+
 def partial_trace(m, dim_a: int, dim_b: int, keep: str) -> np.ndarray:
     """Trace out one factor of a (dim_a*dim_b) x (dim_a*dim_b) matrix.
 
     keep="a" returns the dim_a x dim_a reduction, keep="b" the
     dim_b x dim_b one. Index convention: joint = i_a * dim_b + i_b.
     """
-    m = as_complex_matrix(m)
+    return _partial_trace(as_complex_matrix(m), dim_a, dim_b, keep)
+
+
+def _partial_trace(m: np.ndarray, dim_a: int, dim_b: int, keep: str) -> np.ndarray:
+    """partial_trace over any leading axes of m."""
     n = dim_a * dim_b
-    if m.shape != (n, n):
-        raise ValueError(f"dimension mismatch: expected {(n, n)} for dims ({dim_a},{dim_b}), got {m.shape}")
-    t = m.reshape(dim_a, dim_b, dim_a, dim_b)
+    if m.shape[-2:] != (n, n):
+        raise ValueError(f"dimension mismatch: expected {(n, n)} for dims ({dim_a},{dim_b}), "
+                         f"got {m.shape[-2:]}")
+    t = m.reshape(*m.shape[:-2], dim_a, dim_b, dim_a, dim_b)
     if keep == "a":
-        return np.trace(t, axis1=1, axis2=3)
+        return np.trace(t, axis1=-3, axis2=-1)
     if keep == "b":
-        return np.trace(t, axis1=0, axis2=2)
+        return np.trace(t, axis1=-4, axis2=-2)
     raise ValueError(f"keep must be 'a' or 'b', got {keep!r}")

@@ -19,8 +19,8 @@ from __future__ import annotations
 import numpy as np
 
 from .channels import _block_weights, apply_channel
-from .linalg import DEFAULT_TOL, as_complex_matrix
-from .states import logical_entropy
+from .linalg import DEFAULT_TOL, _first, _pairs, as_complex_matrix
+from .states import _purities
 
 
 def validate_partition(blocks, n: int) -> list[list[int]]:
@@ -46,12 +46,16 @@ def validate_partition(blocks, n: int) -> list[list[int]]:
 
 def projectors_from_partition(blocks, dim: int) -> list[np.ndarray]:
     """Diagonal projectors onto the coordinate subspaces of a partition."""
-    blocks = validate_partition(blocks, dim)
-    ps = []
-    for blk in blocks:
-        p = np.zeros((dim, dim), dtype=np.complex128)
-        p[blk, blk] = 1.0
-        ps.append(p)
+    return list(_partition_projectors([blocks], dim)[0])
+
+
+def _partition_projectors(partitions, dim: int) -> np.ndarray:
+    """projectors_from_partition for many partitions, zero-padded to one (s, k, dim, dim) stack."""
+    parts = [validate_partition(blocks, dim) for blocks in partitions]
+    ps = np.zeros((len(parts), max(map(len, parts)), dim, dim), dtype=np.complex128)
+    s, b, i = np.array([(s, b, i) for s, part in enumerate(parts) for b, blk in enumerate(part)
+                        for i in blk], dtype=int).reshape(-1, 3).T
+    ps[s, b, i, i] = 1.0
     return ps
 
 
@@ -67,27 +71,37 @@ def validate_projectors(ps, tol: float = 1e-10) -> np.ndarray:
         raise ValueError("empty projector set")
     dim = mats[0].shape[0]
     shaped = next((i for i, p in enumerate(mats) if p.shape != (dim, dim)), len(mats))
-    ps = np.array(mats[:shaped]).reshape(shaped, dim, dim)
-    herm = np.abs(ps - ps.conj().swapaxes(1, 2)).max(axis=(1, 2))
-    idem = np.abs(ps @ ps - ps).max(axis=(1, 2))
-    bad = np.flatnonzero(~((herm <= tol) & (idem <= tol)))
-    if bad.size:
-        defect = "Hermitian" if not herm[bad[0]] <= tol else "idempotent"
-        raise ValueError(f"projector {bad[0]} is not {defect} within {tol:.1e}")
-    if shaped < len(mats):
-        raise ValueError(f"projector {shaped} has shape {mats[shaped].shape}, expected {(dim, dim)}")
-    for i in range(shaped - 1):
-        bad = np.flatnonzero(~(np.abs(ps[i] @ ps[i + 1:]).max(axis=(1, 2)) <= tol))
-        if bad.size:
-            raise ValueError(f"projectors {i} and {i + 1 + bad[0]} are not orthogonal within {tol:.1e}")
-    if not np.max(np.abs(ps.sum(axis=0) - np.eye(dim))) <= tol:
-        raise ValueError(f"projectors do not sum to the identity within {tol:.1e}")
-    return ps
+    misshaped = (ValueError(f"projector {shaped} has shape {mats[shaped].shape}, expected {(dim, dim)}")
+                 if shaped < len(mats) else None)
+    return _validate_projectors(np.array(mats[:shaped]).reshape(1, shaped, dim, dim), tol, misshaped)[0]
+
+
+def _validate_projectors(ps: np.ndarray, tol: float = 1e-10, misshaped=None) -> np.ndarray:
+    """validate_projectors on an (s, k, n, n) stack; misshaped is raised before the pair checks."""
+    herm = np.abs(ps - ps.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+    each = (herm <= tol) & (np.abs(ps @ ps - ps).max(axis=(-2, -1)) <= tol)
+    i, j = _pairs(ps.shape[1])
+    pairs = np.abs(ps[:, i] @ ps[:, j]).max(axis=(-2, -1)) <= tol
+    whole = np.abs(ps.sum(axis=1) - np.eye(ps.shape[-1])).max(axis=(-2, -1)) <= tol
+    s = 0 if misshaped else _first(each.all(axis=1) & pairs.all(axis=1) & whole)
+    if s == len(ps):
+        return ps
+    bad = _first(each[s])
+    if bad < len(each[s]):
+        defect = "Hermitian" if not herm[s, bad] <= tol else "idempotent"
+        raise ValueError(f"projector {bad} is not {defect} within {tol:.1e}")
+    if misshaped:
+        raise misshaped
+    bad = _first(pairs[s])
+    if bad < len(i):
+        raise ValueError(f"projectors {i[bad]} and {j[bad]} are not orthogonal within {tol:.1e}")
+    raise ValueError(f"projectors do not sum to the identity within {tol:.1e}")
 
 
 def project(rho, ps) -> np.ndarray:
-    """Unread post-measurement state sum_i P_i rho P_i."""
-    return apply_channel(rho, ps)
+    """Unread post-measurement state sum_i P_i rho P_i, after checking ps
+    with validate_projectors."""
+    return apply_channel(rho, validate_projectors(ps))
 
 
 def purity_decomposition(rho, ps) -> tuple[float, float]:
@@ -107,11 +121,20 @@ def purity_decomposition(rho, ps) -> tuple[float, float]:
     ps = validate_projectors(ps)
     if ps.shape[1:] != rho.shape:
         raise ValueError(f"dimension mismatch: projectors are {ps.shape[1:]}, state is {rho.shape}")
+    projected, mass = _purity_split(rho, ps)
+    return float(projected), float(mass)
+
+
+def _purity_split(rho: np.ndarray, ps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """purity_decomposition over stacks of states and checked projector sets."""
     w = _block_weights(rho, ps)
-    pair_sum = complex(w[~np.eye(len(w), dtype=bool)].sum())
-    if abs(pair_sum.imag) > 1e-12:
-        raise ValueError(f"off-block pair sum has imaginary residue {pair_sum.imag:.3e}; input not Hermitian")
-    return float(np.trace(w).real), pair_sum.real
+    # one C-ordered row per state, so each sum runs as it does for a single state
+    pair = w[..., ~np.eye(ps.shape[-3], dtype=bool)].copy().sum(axis=-1)
+    bad = _first(~(np.abs(pair.imag) > 1e-12))
+    if bad < pair.size:
+        raise ValueError(f"off-block pair sum has imaginary residue {pair.reshape(-1)[bad].imag:.3e}; "
+                         "input not Hermitian")
+    return w.trace(axis1=-2, axis2=-1).real, pair.real
 
 
 def entropy_gain(rho, ps) -> float:
@@ -121,10 +144,22 @@ def entropy_gain(rho, ps) -> float:
     the special case, this equals the off-block weight that
     purity_decomposition reports.
     """
-    return logical_entropy(project(rho, ps)) - logical_entropy(rho)
+    rho_hat = project(rho, ps)
+    return float(_entropy_gains(as_complex_matrix(rho), rho_hat))
+
+
+def _entropy_gains(rho: np.ndarray, rho_hat: np.ndarray) -> np.ndarray:
+    """entropy_gain from stacks of states and their measured states."""
+    return (1.0 - _purities(rho_hat)) - (1.0 - _purities(rho))
 
 
 def entropy_nondecreasing(rho, ps, tol: float = DEFAULT_TOL) -> bool:
     """Whether h(rho) <= h(rho_hat) + tol. Holds for every complete
     orthogonal projector set, basis-aligned or not."""
-    return logical_entropy(rho) <= logical_entropy(project(rho, ps)) + tol
+    rho_hat = project(rho, ps)
+    return bool(_nondecreasing(as_complex_matrix(rho), rho_hat, tol))
+
+
+def _nondecreasing(rho: np.ndarray, rho_hat: np.ndarray, tol: float) -> np.ndarray:
+    """entropy_nondecreasing over stacks of states and their measured states."""
+    return 1.0 - _purities(rho) <= 1.0 - _purities(rho_hat) + tol

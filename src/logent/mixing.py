@@ -18,10 +18,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classical import validate_distribution
-from .linalg import DEFAULT_TOL, partial_trace
+from .linalg import DEFAULT_TOL, _pairs, _partial_trace, partial_trace
 from .measurement import project, projectors_from_partition
-from .states import (_rng, density_from_pure, logical_entropy, random_density,
-                     random_pure_state, validate_density)
+from .states import (_gaussian, _pure_densities, _purities, _random_states, _rng,
+                     _validate_densities, density_from_pure, logical_entropy, validate_density)
+
+_ALONE = np.zeros(1, dtype=int)  # the starts of a run holding one ensemble
 
 
 @dataclass(frozen=True)
@@ -56,11 +58,24 @@ class Ensemble:
         return len(self.states)
 
 
+def _ensembles(weights, states: np.ndarray) -> np.ndarray:
+    """Ensemble's checks on the members (M, d, d) of a run, then on each weight vector;
+    returns the renormalized weights, concatenated."""
+    _validate_densities(states, DEFAULT_TOL)
+    return np.concatenate([validate_distribution(w) for w in weights])
+
+
 def mix(ensemble: Ensemble) -> np.ndarray:
     """The mixture sum_i p_i rho_i."""
-    out = np.zeros((ensemble.dim, ensemble.dim), dtype=np.complex128)
-    for p, s in zip(ensemble.weights, ensemble.states):
-        out += p * s
+    return _running_sums(ensemble.weights[:, None, None] * np.array(ensemble.states), _ALONE)[0]
+
+
+def _running_sums(terms: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Each ensemble's sum of its members' terms in a run, added in member order from zero."""
+    counts = np.diff(starts, append=len(terms))
+    out = np.zeros((len(starts), *terms.shape[1:]), dtype=terms.dtype)
+    for k in range(counts.max()):
+        out[counts > k] += terms[starts[counts > k] + k]
     return out
 
 
@@ -87,26 +102,33 @@ class MixReport:
 
 def orthogonal_support(ensemble: Ensemble, tol: float = 1e-10) -> bool:
     """Whether all component pairs overlap less than tol in tr(rho_i rho_j)."""
-    for i in range(len(ensemble)):
-        for j in range(i + 1, len(ensemble)):
-            if abs(complex(np.vdot(ensemble.states[j], ensemble.states[i]))) >= tol:
-                return False
-    return True
+    return bool(_orthogonal(np.array(ensemble.states), _ALONE, tol)[0])
+
+
+def _orthogonal(states: np.ndarray, starts: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+    """orthogonal_support of each ensemble in a run."""
+    counts = np.diff(starts, append=len(states))
+    i, j = _pairs(int(counts.max()))
+    inside = j < counts[:, None]
+    a, b = (np.minimum(starts[:, None] + k, len(states) - 1) for k in (i, j))
+    f = states.reshape(len(states), -1)
+    return ~(inside & (np.abs(np.vecdot(f[b], f[a])) >= tol)).any(axis=-1)
 
 
 def mixing_bound_report(ensemble: Ensemble) -> MixReport:
     """Evaluate both sides of the mixing entropy bound."""
-    lhs = logical_entropy(mix(ensemble))
-    w = ensemble.weights
-    h_w = weight_entropy(w)
-    rhs = h_w + float(sum(p * p * logical_entropy(s) for p, s in zip(w, ensemble.states)))
-    return MixReport(
-        mixture_entropy=lhs,
-        bound=rhs,
-        slack=rhs - lhs,
-        weight_entropy=h_w,
-        orthogonal_support=orthogonal_support(ensemble),
-    )
+    report = _mixing_bounds(ensemble.weights, np.array(ensemble.states), _ALONE)
+    return MixReport(**{name: value.item() for name, value in vars(report).items()})
+
+
+def _mixing_bounds(w: np.ndarray, states: np.ndarray, starts: np.ndarray) -> MixReport:
+    """mixing_bound_report over a run of checked ensembles, a MixReport of arrays: w (M,) and
+    states (M, d, d) hold the members in order, ensemble e starting at starts[e]."""
+    lhs = 1.0 - _purities(_running_sums(w[:, None, None] * states, starts))
+    h_w = np.array([weight_entropy(x) for x in np.split(w, starts[1:])])
+    rhs = h_w + _running_sums(w * w * (1.0 - _purities(states)), starts)
+    return MixReport(mixture_entropy=lhs, bound=rhs, slack=rhs - lhs, weight_entropy=h_w,
+                     orthogonal_support=_orthogonal(states, starts))
 
 
 def purify(rho) -> np.ndarray:
@@ -148,10 +170,15 @@ def schmidt_entropy_pair(psi, dim_a: int, dim_b: int) -> tuple[float, float]:
     They coincide (shared Schmidt spectrum), which makes the pair a
     useful self-test.
     """
-    rho = density_from_pure(psi)
-    h_a = logical_entropy(partial_trace(rho, dim_a, dim_b, keep="a"))
-    h_b = logical_entropy(partial_trace(rho, dim_a, dim_b, keep="b"))
-    return h_a, h_b
+    h_a, h_b = _schmidt_pairs(np.asarray(psi, dtype=np.complex128).reshape(-1), dim_a, dim_b)
+    return float(h_a), float(h_b)
+
+
+def _schmidt_pairs(psi: np.ndarray, dim_a: int, dim_b: int) -> tuple[np.ndarray, np.ndarray]:
+    """schmidt_entropy_pair over any leading axes of psi."""
+    rho = _pure_densities(psi)
+    return (1.0 - _purities(_partial_trace(rho, dim_a, dim_b, "a")),
+            1.0 - _purities(_partial_trace(rho, dim_a, dim_b, "b")))
 
 
 def purification_chain_check(ensemble: Ensemble, tol: float = DEFAULT_TOL) -> bool:
@@ -179,10 +206,11 @@ def random_ensemble(dim: int, n: int, seed, pure: bool = True) -> Ensemble:
 
     pure=True draws Gaussian unit vectors; otherwise Ginibre mixed states.
     """
-    rng = _rng(seed)
+    w, draws = _draw_ensemble(dim, n, _rng(seed), pure)
+    return Ensemble(weights=w, states=tuple(_random_states(draws, [pure] * n)))
+
+
+def _draw_ensemble(dim: int, n: int, rng: np.random.Generator, pure: bool):
+    """random_ensemble's draws: the weights, then each member's Gaussian."""
     w = rng.dirichlet(np.ones(n))
-    if pure:
-        states = [density_from_pure(random_pure_state(dim, rng)) for _ in range(n)]
-    else:
-        states = [random_density(dim, rng) for _ in range(n)]
-    return Ensemble(weights=w, states=tuple(states))
+    return w, np.array([_gaussian(dim if pure else (dim, dim), rng) for _ in range(n)])

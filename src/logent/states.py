@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, as_complex_matrix, hermiticity_defect
+from .linalg import DEFAULT_TOL, _first, as_complex_matrix
 
 
 class DensityValidationError(ValueError):
@@ -49,17 +49,26 @@ def validate_density(m, tol: float = DEFAULT_TOL) -> np.ndarray:
     m = as_complex_matrix(m)
     if m.shape[0] != m.shape[1]:
         raise DensityValidationError(f"density matrix must be square, got {m.shape}", 0.0)
-    defect = hermiticity_defect(m)
-    if not defect <= tol:
-        raise NonHermitianError(f"not Hermitian: defect {defect:.3e} exceeds tol {tol:.3e}", defect)
-    tr = complex(np.trace(m))
-    dev = abs(tr - 1.0)
-    if not dev <= tol:
-        raise TraceError(f"trace {tr:.12g} deviates from 1 by {dev:.3e} (tol {tol:.3e})", dev)
-    lo = float(np.linalg.eigvalsh(m)[0])
-    if not lo >= -tol:
-        raise NonPositiveError(f"not positive semidefinite: min eigenvalue {lo:.3e} below -{tol:.3e}", -lo)
+    _validate_densities(m[None], tol)
     return m
+
+
+def _validate_densities(m: np.ndarray, tol: float) -> None:
+    """validate_density's other checks on a (k, n, n) stack; the first failure raises."""
+    herm = np.abs(m - m.conj().swapaxes(1, 2)).max(axis=(1, 2), initial=0.0)
+    tr = m.trace(axis1=1, axis2=2)
+    dev = np.abs(tr - 1.0)
+    cut = _first((herm <= tol) & (dev <= tol))
+    lo = np.linalg.eigvalsh(m[:cut])[:, 0] if cut else np.zeros(0)
+    neg = _first(lo >= -tol)
+    if neg < cut:
+        raise NonPositiveError(f"not positive semidefinite: min eigenvalue {lo[neg]:.3e} below -{tol:.3e}",
+                               -lo[neg])
+    if cut < len(m) and not herm[cut] <= tol:
+        raise NonHermitianError(f"not Hermitian: defect {herm[cut]:.3e} exceeds tol {tol:.3e}", herm[cut])
+    if cut < len(m):
+        raise TraceError(f"trace {complex(tr[cut]):.12g} deviates from 1 by {dev[cut]:.3e} (tol {tol:.3e})",
+                         dev[cut])
 
 
 def density_from_pure(psi) -> np.ndarray:
@@ -68,18 +77,33 @@ def density_from_pure(psi) -> np.ndarray:
     Norm deviations up to 1e-6 are silently renormalized; anything
     larger is rejected as not a state vector.
     """
-    v = np.asarray(psi, dtype=np.complex128).reshape(-1)
-    norm = float(np.linalg.norm(v))
-    if not abs(norm - 1.0) <= 1e-6:
-        raise ValueError(f"state vector norm {norm:.9g} deviates from 1 by more than 1e-6")
-    v = v / norm
-    return np.outer(v, v.conj())
+    return _pure_densities(np.asarray(psi, dtype=np.complex128).reshape(-1))
+
+
+def _pure_densities(v: np.ndarray) -> np.ndarray:
+    """density_from_pure along the last axis of v; the first failing vector raises."""
+    norm = _norms(v)
+    bad = _first(np.abs(norm - 1.0) <= 1e-6)
+    if bad < norm.size:
+        raise ValueError(f"state vector norm {norm.reshape(-1)[bad]:.9g} deviates from 1 by more than 1e-6")
+    v = v / norm[..., None]
+    return v[..., :, None] * v.conj()[..., None, :]
+
+
+def _norms(v: np.ndarray) -> np.ndarray:
+    """Norms along the last axis, summed as np.linalg.norm sums one vector."""
+    return np.sqrt(np.vecdot(v.real, v.real) + np.vecdot(v.imag, v.imag))
+
+
+def _purities(m: np.ndarray) -> np.ndarray:
+    """tr(m^2) of Hermitian matrices over any leading axes, each summed as np.vdot."""
+    f = m.reshape(*m.shape[:-2], -1)
+    return np.vecdot(f, f).real
 
 
 def purity(rho) -> float:
     """tr(rho^2) for Hermitian rho, via the squared Frobenius norm."""
-    rho = as_complex_matrix(rho)
-    return float(np.vdot(rho, rho).real)
+    return float(_purities(as_complex_matrix(rho)))
 
 
 def logical_entropy(rho) -> float:
@@ -95,26 +119,50 @@ def _rng(seed) -> np.random.Generator:
     return seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
 
 
+def _gaussian(shape, rng: np.random.Generator) -> np.ndarray:
+    """Complex Gaussian draw: the real parts, then the imaginary parts."""
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
 def random_density(dim: int, seed) -> np.ndarray:
     """Random mixed state: G G† / tr(G G†) with G complex Gaussian."""
-    rng = _rng(seed)
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    rho = g @ g.conj().T
-    return rho / np.trace(rho).real
+    return _gram_densities(_gaussian((dim, dim), _rng(seed)))
+
+
+def _gram_densities(g: np.ndarray) -> np.ndarray:
+    rho = g @ g.conj().swapaxes(-1, -2)
+    return rho / np.trace(rho, axis1=-2, axis2=-1).real[..., None, None]
 
 
 def random_unitary(dim: int, seed) -> np.ndarray:
     """Haar-distributed unitary: QR of a complex Gaussian matrix with the
-    R-diagonal phases folded into Q."""
-    rng = _rng(seed)
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    R-diagonal phases folded into Q (Mezzadri, arXiv:math-ph/0609050)."""
+    return _haar(_gaussian((dim, dim), _rng(seed)))
+
+
+def _haar(g: np.ndarray) -> np.ndarray:
     q, r = np.linalg.qr(g)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[..., None, :]
 
 
 def random_pure_state(dim: int, seed) -> np.ndarray:
     """Random unit vector (complex Gaussian direction)."""
-    rng = _rng(seed)
-    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return v / np.linalg.norm(v)
+    return _unit(_gaussian(dim, _rng(seed)))
+
+
+def _unit(v: np.ndarray) -> np.ndarray:
+    return v / _norms(v)[..., None]
+
+
+def _random_states(draws, pure) -> np.ndarray:
+    """States from Gaussian draws: draws[m] as random_density, or as a pure state if pure[m]."""
+    out = None
+    for kind in (False, True):
+        sel = [m for m, p in enumerate(pure) if p == kind]
+        if sel:
+            g = np.array([draws[m] for m in sel])
+            part = _pure_densities(_unit(g)) if kind else _gram_densities(g)
+            out = np.empty((len(pure), *part.shape[1:]), dtype=np.complex128) if out is None else out
+            out[sel] = part
+    return out

@@ -1,14 +1,16 @@
 import dataclasses
 import json
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import logent.cli
 import logent.fuzz
-from logent.cli import main
+from logent.cli import build_parser, main
 from logent.serialization import dump_json, matrix_to_json, model_to_json
 from logent.states import random_density, random_unitary
 from logent.channels import CouplingModel
@@ -377,3 +379,16 @@ def test_module_entry_point():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["failures"] == 0
+
+
+def test_readme_commands_parse():
+    # every logent command in the README's sh blocks is one the CLI accepts
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    lines = [line for block in readme.split("```sh\n")[1:]
+             for line in block.split("```", 1)[0].splitlines() if line.startswith("logent ")]
+    assert len(lines) >= 11
+    for line in lines:
+        try:
+            build_parser().parse_args(shlex.split(line, comments=True)[1:])
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {line}")

@@ -188,3 +188,17 @@ def test_block_diagonal_state_unchanged():
 def test_project_dimension_mismatch():
     with pytest.raises(ValueError, match="dimension mismatch"):
         project(np.eye(3) / 3, projectors_from_partition([[0], [1]], 2))
+
+
+@pytest.mark.parametrize("fn", [project, entropy_gain, entropy_nondecreasing])
+def test_measurement_checks_its_projectors(fn):
+    # the general projector path rejects a set that is not a complete
+    # orthogonal measurement, with validate_projectors' own message
+    rho = random_density(3, 5)
+    p0, p1, p2 = projectors_from_partition([[0], [1], [2]], 3)
+    with pytest.raises(ValueError, match="projector 0 is not idempotent"):
+        fn(rho, [np.eye(3) * 0.5, np.eye(3) * 0.5])
+    with pytest.raises(ValueError, match="projectors 0 and 2 are not orthogonal"):
+        fn(rho, [p0 + p1, p2, p1])
+    with pytest.raises(ValueError, match="do not sum to the identity"):
+        fn(rho, [p0, p1])
