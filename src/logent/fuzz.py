@@ -6,13 +6,14 @@ uses exactly numpy's default_rng(s + t), so any failing trial can be
 regenerated from the summary alone, and trials could be farmed out in
 parallel without changing the outcome.
 
-A campaign runs in chunks of trials. Each chunk's trials are drawn in
-trial order, grouped by shape, and each group is evaluated at once
-through the same private stacked kernels that the public functions run
-on a single instance; the results are folded back in trial order. So the
-summary does not depend on the grouping or the chunk size. The theorem
-suite stacks its draws, then builds each trial's model and report with
-the public CouplingModel and verify_entropy_bound it checks.
+A campaign runs in chunks of trials, bounded in count and in the bytes
+of their largest arrays. Each chunk's trials are drawn in trial order,
+grouped by shape, and each group is evaluated at once through the same
+private stacked kernels that the public functions run on a single
+instance; the results are folded back in trial order. So the summary
+does not depend on the grouping or the chunk size. The theorem suite
+stacks its draws, then builds each trial's model and report with the
+public CouplingModel and verify_entropy_bound it checks.
 
 Suite names follow the command-line interface: "theorem" (the off-block
 bound), "prop1" (measurement purity bookkeeping), "prop2" (the mixing
@@ -33,17 +34,19 @@ import math
 import numpy as np
 
 from .channels import CouplingModel, _channel, verify_entropy_bound
-from .classical import _bridges, random_distribution, random_partition
+from .classical import _bridges, random_distribution, random_partition, validate_distribution
+from .linalg import DEFAULT_TOL
 from .measurement import (_entropy_gains, _nondecreasing, _partition_projectors, _purity_split,
                           _validate_projectors)
-from .mixing import _draw_ensemble, _ensembles, _mixing_bounds, _schmidt_pairs
+from .mixing import _draw_ensemble, _mixing_bounds, _schmidt_pairs
 from .serialization import matrix_to_json, model_to_json
-from .states import _gaussian, _haar, _pure_densities, _purities, _random_states, _unit
+from .states import (_gaussian, _haar, _pure_densities, _purities, _random_states, _unit,
+                     _validate_densities)
 
 _MAX_RECORDED = 3  # failing trials kept in the summary, with full inputs
 _MAX_COMPONENTS = 6  # largest ensemble drawn by the mixing suite
 _CHUNK = 128  # most trials drawn and evaluated together
-_CHUNK_BYTES = 1 << 23  # and most bytes of draws, so large dimensions stay small in memory
+_CHUNK_BYTES = 1 << 23  # and most bytes of the trials' largest stacked arrays
 _GATE = 1e-9  # slacks and entropy monotonicity may fall this far below zero
 _IDENTITY = 1e-10  # largest residual of an identity
 _GATE_TEXT = np.format_float_scientific(_GATE, trim="-", exp_digits=1)  # "1e-9"
@@ -60,9 +63,13 @@ def _dim(rng: np.random.Generator, dim_max: int) -> int:
 def _campaign(suite: str, trials: int, seed: int, worst0: float, pick, draw, evaluate) -> dict:
     """Run trials t < trials, each drawn by draw(t, rng) on rng = default_rng(seed + t).
 
-    draw returns (key, draws); trials with equal keys have draws of equal
-    shapes and are evaluated together by evaluate(key, [draws, ...]), which
-    returns (values, checks, inputs) over the group: values, arrays folded
+    draw returns (key, nbytes, draws), nbytes the size of the trial's
+    largest array in evaluation: a chunk holds at most _CHUNK trials and
+    _CHUNK_BYTES of such arrays, so memory stays bounded at any dimension
+    (the kernels' temporaries are a few of them). Trials with equal keys
+    have draws of equal shapes and are evaluated together by
+    evaluate(key, [draws, ...]), which returns (values, checks, inputs)
+    over the group: values, arrays folded
     in trial order into the running worst with pick (min for slacks, max
     for residuals), where a NaN wins and then sticks; checks, (ok, message)
     pairs with message(m) the failure text of member m; inputs(m), the JSON
@@ -74,9 +81,9 @@ def _campaign(suite: str, trials: int, seed: int, worst0: float, pick, draw, eva
     while t < trials:
         chunk, size = [], 0
         while t < trials and len(chunk) < _CHUNK and size < _CHUNK_BYTES:
-            chunk.append(draw(t, np.random.default_rng(seed + t)))
-            size += sum(d.nbytes for d in chunk[-1][1] if isinstance(d, np.ndarray))
-            t += 1
+            key, nbytes, draws = draw(t, np.random.default_rng(seed + t))
+            chunk.append((key, draws))
+            size, t = size + nbytes, t + 1
         groups = {}
         for m, (key, _) in enumerate(chunk):
             groups.setdefault(key, []).append(m)
@@ -116,7 +123,7 @@ def fuzz_bound(trials: int, dim_s_max: int, dim_e_max: int, seed: int) -> dict:
     """
     def draw(t, rng):
         ds, de = _dim(rng, dim_s_max), _dim(rng, dim_e_max)
-        return (ds, de), (_gaussian((ds * de, ds * de), rng), _gaussian(ds, rng))
+        return (ds, de), 16 * (ds * de) ** 2, (_gaussian((ds * de, ds * de), rng), _gaussian(ds, rng))
 
     def evaluate(key, draws):
         g, v = (np.array(x) for x in zip(*draws))
@@ -147,26 +154,28 @@ def fuzz_measurement(trials: int, dim_max: int, seed: int) -> dict:
         dim = _dim(rng, dim_max)
         state = _gaussian(dim if t % 2 else (dim, dim), rng)
         blocks = random_partition(dim, rng)
-        return (dim, len(blocks)), (state, blocks, t % 2 == 1)
+        return (dim, len(blocks), t % 2 == 1), 16 * len(blocks) * dim * dim, (state, blocks)
 
     def evaluate(key, draws):
-        raw, partitions, pure = zip(*draws)
-        rho = _random_states(raw, pure)
+        raw, partitions = zip(*draws)
+        rho = _random_states(np.array(raw), key[2])
         ps = _validate_projectors(_partition_projectors(partitions, key[0]))
         projected, mass = _purity_split(rho, ps)
         rho_hat = _channel(rho, ps)
         gain = _entropy_gains(rho, rho_hat)
-        residual, gain_residual = np.abs(_purities(rho) - (projected + mass)), np.abs(gain - mass)
-        # only a pure state's projected entropy is the erased weight; 0 on mixed trials
-        pure_residual = np.where(pure, np.abs((1.0 - projected) - mass), 0.0)
-        return [residual, gain_residual, pure_residual], [
-            (residual <= _IDENTITY, lambda m: f"purity identity residual {float(residual[m])!r}"),
-            (gain_residual <= _IDENTITY,
+        values = [np.abs(_purities(rho) - (projected + mass)), np.abs(gain - mass)]
+        checks = [
+            (values[0] <= _IDENTITY, lambda m: f"purity identity residual {float(values[0][m])!r}"),
+            (values[1] <= _IDENTITY,
              lambda m: f"entropy gain {float(gain[m])!r} != off-block weight {float(mass[m])!r}"),
             (_nondecreasing(rho, rho_hat, _GATE), lambda m: "entropy decreased under measurement"),
-            (pure_residual <= _IDENTITY,
-             lambda m: f"pure-state projected entropy residual {float(pure_residual[m])!r}"),
-        ], lambda m: {"state": matrix_to_json(rho[m]), "partition": {"blocks": partitions[m]}}
+        ]
+        if key[2]:  # only a pure state's projected entropy is the erased off-block weight
+            values.append(np.abs((1.0 - projected) - mass))
+            checks.append((values[2] <= _IDENTITY,
+                           lambda m: f"pure-state projected entropy residual {float(values[2][m])!r}"))
+        return values, checks, lambda m: {"state": matrix_to_json(rho[m]),
+                                          "partition": {"blocks": partitions[m]}}
 
     return _campaign("prop1", trials, seed, 0.0, max, draw, evaluate)
 
@@ -177,14 +186,15 @@ def fuzz_mixing(trials: int, dim_max: int, seed: int) -> dict:
     def draw(t, rng):
         dim = _dim(rng, dim_max)
         n = int(rng.integers(2, _MAX_COMPONENTS + 1))
-        return dim, (*_draw_ensemble(dim, n, rng, pure=(t % 2 == 0)), t % 2 == 0)
+        return (dim, t % 2 == 0), 16 * n * dim * dim, _draw_ensemble(dim, n, rng, pure=(t % 2 == 0))
 
     def evaluate(key, draws):
-        w, raw, pure = zip(*draws)
+        w, raw = zip(*draws)
         ends = np.cumsum([len(x) for x in w])
         starts = np.append(0, ends[:-1])
-        states = _random_states([x for r in raw for x in r], [p for r, p in zip(raw, pure) for _ in r])
-        w = _ensembles(w, states)
+        states = _random_states(np.concatenate(raw), key[1])
+        _validate_densities(states, DEFAULT_TOL)  # Ensemble's checks: the members, then the weights
+        w = np.concatenate([validate_distribution(x) for x in w])
         slack = _mixing_bounds(w, states, starts).slack
         return [slack], [_slack_check(slack)], lambda m: {"ensemble": {
             "weights": w[starts[m]:ends[m]].tolist(),
@@ -198,7 +208,7 @@ def fuzz_schmidt(trials: int, dim_a_max: int, dim_b_max: int, seed: int) -> dict
     within 1e-10, and each equals 1 - purity of its reduction."""
     def draw(t, rng):
         da, db = _dim(rng, dim_a_max), _dim(rng, dim_b_max)
-        return (da, db), (_gaussian(da * db, rng),)
+        return (da, db), 16 * (da * db) ** 2, (_gaussian(da * db, rng),)
 
     def evaluate(key, draws):
         psi = _unit(np.array([v for v, in draws]))
@@ -215,7 +225,8 @@ def fuzz_bridge(trials: int, n_max: int, seed: int) -> dict:
     amplitude encoding, within 1e-10."""
     def draw(t, rng):
         n = _dim(rng, n_max)
-        return n, (random_distribution(n, rng), random_partition(n, rng))
+        # projectors are padded to the group's largest block count, at most n
+        return n, 16 * n ** 3, (random_distribution(n, rng), random_partition(n, rng))
 
     def evaluate(key, draws):
         probs, partitions = zip(*draws)

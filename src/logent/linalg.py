@@ -6,8 +6,6 @@ slowest, so the joint index is i_a * dim_b + i_b.
 """
 from __future__ import annotations
 
-import functools
-
 import numpy as np
 
 DEFAULT_TOL = 1e-9
@@ -35,10 +33,10 @@ def _first(ok: np.ndarray) -> int:
     return i if ok.size and not ok.flat[i] else ok.size
 
 
-@functools.lru_cache(maxsize=None)
-def _pairs(k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Index pairs i < j of k items in lexicographic order, as (i, j)."""
-    return np.triu_indices(k, 1)
+def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.vdot(a, b) along the last axis, over any leading axes: (1 x N) @ (N x 1)
+    products, which numpy evaluates with np.vdot's BLAS dot, so each rounds as np.vdot's."""
+    return (a.conj()[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
 def partial_trace(m, dim_a: int, dim_b: int, keep: str) -> np.ndarray:

@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from .channels import _block_weights, apply_channel
-from .linalg import DEFAULT_TOL, _first, _pairs, as_complex_matrix
+from .linalg import DEFAULT_TOL, _first, as_complex_matrix
 from .states import _purities
 
 
@@ -80,8 +80,10 @@ def _validate_projectors(ps: np.ndarray, tol: float = 1e-10, misshaped=None) -> 
     """validate_projectors on an (s, k, n, n) stack; misshaped is raised before the pair checks."""
     herm = np.abs(ps - ps.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
     each = (herm <= tol) & (np.abs(ps @ ps - ps).max(axis=(-2, -1)) <= tol)
-    i, j = _pairs(ps.shape[1])
-    pairs = np.abs(ps[:, i] @ ps[:, j]).max(axis=(-2, -1)) <= tol
+    # pairs i < j in lexicographic order, one i at a time, so no product outgrows the stack
+    pairs = np.concatenate([np.ones((len(ps), 0), dtype=bool)] + [
+        np.abs(ps[:, i, None] @ ps[:, i + 1:]).max(axis=(-2, -1)) <= tol for i in range(ps.shape[1] - 1)],
+        axis=1)
     whole = np.abs(ps.sum(axis=1) - np.eye(ps.shape[-1])).max(axis=(-2, -1)) <= tol
     s = 0 if misshaped else _first(each.all(axis=1) & pairs.all(axis=1) & whole)
     if s == len(ps):
@@ -93,7 +95,8 @@ def _validate_projectors(ps: np.ndarray, tol: float = 1e-10, misshaped=None) -> 
     if misshaped:
         raise misshaped
     bad = _first(pairs[s])
-    if bad < len(i):
+    if bad < pairs.shape[1]:
+        i, j = np.triu_indices(ps.shape[1], 1)
         raise ValueError(f"projectors {i[bad]} and {j[bad]} are not orthogonal within {tol:.1e}")
     raise ValueError(f"projectors do not sum to the identity within {tol:.1e}")
 

@@ -18,10 +18,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classical import validate_distribution
-from .linalg import DEFAULT_TOL, _pairs, _partial_trace, partial_trace
+from .linalg import DEFAULT_TOL, _dots, _partial_trace, partial_trace
 from .measurement import project, projectors_from_partition
-from .states import (_gaussian, _pure_densities, _purities, _random_states, _rng,
-                     _validate_densities, density_from_pure, logical_entropy, validate_density)
+from .states import (_gaussian, _pure_densities, _purities, _random_states, _rng, density_from_pure,
+                     logical_entropy, validate_density)
 
 _ALONE = np.zeros(1, dtype=int)  # the starts of a run holding one ensemble
 
@@ -58,13 +58,6 @@ class Ensemble:
         return len(self.states)
 
 
-def _ensembles(weights, states: np.ndarray) -> np.ndarray:
-    """Ensemble's checks on the members (M, d, d) of a run, then on each weight vector;
-    returns the renormalized weights, concatenated."""
-    _validate_densities(states, DEFAULT_TOL)
-    return np.concatenate([validate_distribution(w) for w in weights])
-
-
 def mix(ensemble: Ensemble) -> np.ndarray:
     """The mixture sum_i p_i rho_i."""
     return _running_sums(ensemble.weights[:, None, None] * np.array(ensemble.states), _ALONE)[0]
@@ -73,9 +66,12 @@ def mix(ensemble: Ensemble) -> np.ndarray:
 def _running_sums(terms: np.ndarray, starts: np.ndarray) -> np.ndarray:
     """Each ensemble's sum of its members' terms in a run, added in member order from zero."""
     counts = np.diff(starts, append=len(terms))
+    k = np.arange(counts.max())
+    inside = (k < counts[:, None]).reshape(len(starts), len(k), *(1,) * (terms.ndim - 1))
+    rows = np.where(inside, terms[np.minimum(starts[:, None] + k, len(terms) - 1)], 0.0)
     out = np.zeros((len(starts), *terms.shape[1:]), dtype=terms.dtype)
-    for k in range(counts.max()):
-        out[counts > k] += terms[starts[counts > k] + k]
+    for row in rows.swapaxes(0, 1):  # adding the zero padding leaves every sum as it is
+        out += row
     return out
 
 
@@ -106,13 +102,16 @@ def orthogonal_support(ensemble: Ensemble, tol: float = 1e-10) -> bool:
 
 
 def _orthogonal(states: np.ndarray, starts: np.ndarray, tol: float = 1e-10) -> np.ndarray:
-    """orthogonal_support of each ensemble in a run."""
+    """orthogonal_support of each ensemble in a run; its member pairs are taken len(states)
+    at a time, so no array outgrows the run."""
     counts = np.diff(starts, append=len(states))
-    i, j = _pairs(int(counts.max()))
-    inside = j < counts[:, None]
-    a, b = (np.minimum(starts[:, None] + k, len(states) - 1) for k in (i, j))
+    i, j = np.triu_indices(int(counts.max()), 1)
+    e, p = np.nonzero(j < counts[:, None])  # ensemble e holds its p-th pair (i[p], j[p])
+    a, b = starts[e] + i[p], starts[e] + j[p]
     f = states.reshape(len(states), -1)
-    return ~(inside & (np.abs(np.vecdot(f[b], f[a])) >= tol)).any(axis=-1)
+    close = np.concatenate([np.abs(_dots(f[b[k:k + len(f)]], f[a[k:k + len(f)]])) >= tol
+                            for k in range(0, len(a), len(f))] or [np.zeros(0, dtype=bool)])
+    return np.bincount(e[close], minlength=len(starts)) == 0
 
 
 def mixing_bound_report(ensemble: Ensemble) -> MixReport:
@@ -207,7 +206,7 @@ def random_ensemble(dim: int, n: int, seed, pure: bool = True) -> Ensemble:
     pure=True draws Gaussian unit vectors; otherwise Ginibre mixed states.
     """
     w, draws = _draw_ensemble(dim, n, _rng(seed), pure)
-    return Ensemble(weights=w, states=tuple(_random_states(draws, [pure] * n)))
+    return Ensemble(weights=w, states=tuple(_random_states(draws, pure)))
 
 
 def _draw_ensemble(dim: int, n: int, rng: np.random.Generator, pure: bool):

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, _first, as_complex_matrix
+from .linalg import DEFAULT_TOL, _dots, _first, as_complex_matrix
 
 
 class DensityValidationError(ValueError):
@@ -92,13 +92,13 @@ def _pure_densities(v: np.ndarray) -> np.ndarray:
 
 def _norms(v: np.ndarray) -> np.ndarray:
     """Norms along the last axis, summed as np.linalg.norm sums one vector."""
-    return np.sqrt(np.vecdot(v.real, v.real) + np.vecdot(v.imag, v.imag))
+    return np.sqrt(_dots(v.real, v.real) + _dots(v.imag, v.imag))
 
 
 def _purities(m: np.ndarray) -> np.ndarray:
     """tr(m^2) of Hermitian matrices over any leading axes, each summed as np.vdot."""
     f = m.reshape(*m.shape[:-2], -1)
-    return np.vecdot(f, f).real
+    return _dots(f, f).real
 
 
 def purity(rho) -> float:
@@ -155,14 +155,7 @@ def _unit(v: np.ndarray) -> np.ndarray:
     return v / _norms(v)[..., None]
 
 
-def _random_states(draws, pure) -> np.ndarray:
-    """States from Gaussian draws: draws[m] as random_density, or as a pure state if pure[m]."""
-    out = None
-    for kind in (False, True):
-        sel = [m for m, p in enumerate(pure) if p == kind]
-        if sel:
-            g = np.array([draws[m] for m in sel])
-            part = _pure_densities(_unit(g)) if kind else _gram_densities(g)
-            out = np.empty((len(pure), *part.shape[1:]), dtype=np.complex128) if out is None else out
-            out[sel] = part
-    return out
+def _random_states(g: np.ndarray, pure: bool) -> np.ndarray:
+    """States from a stack of Gaussian draws: density_from_pure(random_pure_state) if pure,
+    else random_density."""
+    return _pure_densities(_unit(g)) if pure else _gram_densities(g)

@@ -273,3 +273,11 @@ def test_short_runs_match_the_oracle_value_by_value():
         ds, de = 2 + seed % 7, 1 + seed % 4
         for suite in SUITES:
             assert json.dumps(run_suite(suite, 2, ds, de, seed)) == json.dumps(_oracle(suite, 2, ds, de, seed))
+
+
+@pytest.mark.parametrize("suite", ["prop1", "prop2", "bridge"])
+def test_large_dimensions_stay_within_the_chunk_budget(suite, peak_bytes):
+    # a chunk holds at most _CHUNK_BYTES of the trials' largest stacked
+    # arrays (projector sets, ensemble members), not _CHUNK trials of them
+    peak = peak_bytes(lambda: run_suite(suite, 40, 48, 1, 1))
+    assert peak < 2 * logent.fuzz._CHUNK_BYTES

@@ -202,3 +202,14 @@ def test_measurement_checks_its_projectors(fn):
         fn(rho, [p0 + p1, p2, p1])
     with pytest.raises(ValueError, match="do not sum to the identity"):
         fn(rho, [p0, p1])
+
+
+def test_projector_checks_stay_the_size_of_the_set(peak_bytes):
+    # each projector is checked against its successors in one product, not
+    # every pair at once: a set of 64 rank-one projectors needs a few
+    # copies of its own stack, where all 2016 pair products need 130 MB
+    ps = projectors_from_partition([[i] for i in range(64)], 64)
+    stack = 64 * 64 * 64 * 16
+    assert peak_bytes(lambda: validate_projectors(ps)) < 4 * stack
+    rho = random_density(64, 0)
+    assert peak_bytes(lambda: entropy_gain(rho, ps)) < 5 * stack

@@ -200,3 +200,10 @@ def test_weight_entropy_matches_distribution_route():
     ens = random_ensemble(3, 5, seed=2)
     assert abs(weight_entropy(ens.weights)
                - logical_entropy_dist(ens.weights)) < 1e-12
+
+
+def test_orthogonality_check_stays_the_size_of_the_ensemble(peak_bytes):
+    # member pairs are taken as many at a time as there are members, not
+    # all 780 at once: 40 members need a few copies of their stack
+    ens = random_ensemble(24, 40, 0, pure=False)
+    assert peak_bytes(lambda: orthogonal_support(ens)) < 5 * 40 * 24 * 24 * 16
