@@ -7,7 +7,7 @@ from logent.channels import (CouplingModel, apply_channel, block_decompose,
                              completeness_defect, couple, exchange_entropy,
                              extract_kraus, off_block_bound, rotate_env_init,
                              verify_entropy_bound)
-from logent.linalg import partial_trace
+from logent.linalg import DEFAULT_TOL, partial_trace
 from logent.states import (density_from_pure, logical_entropy, purity,
                            random_density, random_pure_state, random_unitary)
 
@@ -53,6 +53,57 @@ class TestCouplingModel:
         model = coupling_model(0.4)
         with pytest.raises(ValueError):
             model.unitary[0, 0] = 9.0
+
+
+def gram_oracle(a):
+    """The dense max |A A† - I|."""
+    return float(np.max(np.abs(a @ a.conj().T - np.eye(len(a)))))
+
+
+class TestBlockedUnitarityCheck:
+    """The check walks U U† in row blocks of 128; sizes straddle one, two and a ragged last block."""
+
+    SIZES = (1, 2, 127, 128, 129, 259)
+    SPOTS = {"diagonal block": lambda n: (min(5, n - 1), min(100, n - 1)),
+             "above it": lambda n: (0, n - 1),
+             "below it": lambda n: (n - 1, 0),
+             "last block": lambda n: (n - 1, max(n - 2, 0))}
+
+    @pytest.mark.parametrize("n", SIZES)
+    @pytest.mark.parametrize("spot", sorted(SPOTS))
+    def test_accepts_and_rejects_as_the_dense_oracle(self, n, spot):
+        u = random_unitary(n, n)
+        i, j = self.SPOTS[spot](n)
+
+        def perturbed(delta):
+            v = u.copy()
+            v[i, j] += delta * np.exp(0.7j)
+            return v
+
+        slope = gram_oracle(perturbed(1e-6)) / 1e-6  # the defect is linear in small delta
+        verdicts = []
+        for delta in (0.9 * DEFAULT_TOL / slope, 1.1 * DEFAULT_TOL / slope, 1e-3):
+            v = perturbed(delta)
+            want = gram_oracle(v)
+            try:
+                CouplingModel(v, dim_s=n, dim_e=1)
+                verdicts.append("accept")
+            except ValueError as exc:
+                assert str(exc) == f"matrix is not unitary: U U† deviates from I by {want:.3e}"
+                verdicts.append("reject")
+            assert verdicts[-1] == ("accept" if want <= DEFAULT_TOL else "reject")
+        assert verdicts == ["accept", "reject", "reject"]
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in matmul")  # inf * 0
+    @pytest.mark.parametrize("n", SIZES)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("spot", ["first row", "last row", "last column"])
+    def test_non_finite_entries_are_not_unitary(self, n, bad, spot):
+        u = random_unitary(n, n)
+        u[{"first row": (0, n // 2), "last row": (n - 1, n // 3),
+           "last column": (n // 2, n - 1)}[spot]] = bad
+        with pytest.raises(ValueError, match="matrix is not unitary"):
+            CouplingModel(u, dim_s=n, dim_e=1)
 
 
 class TestCouple:
@@ -130,6 +181,20 @@ class TestKraus:
     def test_completeness_defect_empty(self):
         with pytest.raises(ValueError, match="empty"):
             completeness_defect([])
+
+    @pytest.mark.parametrize("k,m,n", [(1, 1, 1), (3, 2, 5), (2, 130, 130), (1, 300, 259)])
+    def test_completeness_defect_matches_dense_oracle(self, k, m, n):
+        rng = np.random.default_rng(n)
+        ops = (rng.standard_normal((k, m, n)) + 1j * rng.standard_normal((k, m, n))) / np.sqrt(2 * k * m)
+        assert abs(completeness_defect(ops) - gram_oracle(ops.reshape(-1, n).conj().T)) <= 1e-15
+
+    def test_nan_completeness_defect_is_rejected(self):
+        model = random_model(3, 2, 0)
+        u = model.unitary.copy()
+        u[4, 1] = np.nan
+        object.__setattr__(model, "unitary", u)
+        with pytest.raises(ValueError, match="Kraus completeness violated"):
+            extract_kraus(model)
 
 
 class TestApplyChannel:
@@ -315,6 +380,19 @@ class TestEnvRotation:
         rotated = rotate_env_init(model, w)
         rho = density_from_pure(random_pure_state(2, 11))
         assert abs(purity(couple(rho, rotated)) - 1.0) < 1e-12
+
+    @pytest.mark.parametrize("ds,de", [(3, 4), (1, 5), (4, 1), (1, 1), (6, 7)])
+    def test_matches_dense_kron_oracle(self, ds, de):
+        rng = np.random.default_rng(10 * ds + de)
+        model = CouplingModel(random_unitary(ds * de, de), ds, de, env_init=int(rng.integers(de)))
+        w = rng.standard_normal(de) + 1j * rng.standard_normal(de)
+        w /= np.linalg.norm(w)
+        u2 = rotate_env_init(model, w).unitary
+        # U' = U (W (x) I_S) for a unitary W whose env_init column is w
+        wide = (model.unitary.conj().T @ u2)[::ds, ::ds]
+        npt.assert_allclose(u2, model.unitary @ np.kron(wide, np.eye(ds)), rtol=0, atol=1e-12)
+        npt.assert_allclose(wide.conj().T @ wide, np.eye(de), rtol=0, atol=1e-12)
+        npt.assert_allclose(wide[:, model.env_init], w, rtol=0, atol=1e-12)
 
     def test_rejects_unnormalized(self):
         with pytest.raises(ValueError, match="norm"):

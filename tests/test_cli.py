@@ -130,6 +130,23 @@ class TestApplyAndKraus:
                        payload["operators"][1]["data"]]).reshape(2, 2)
         np.testing.assert_allclose(e1, [[0, 1], [0, 0]], atol=1e-12)
 
+    def test_two_block_model_file(self, capsys, tmp_path):
+        # n = 256: the unitarity check walks two row blocks of 128; compact JSON writes fast
+        model = CouplingModel(random_unitary(256, 5), dim_s=32, dim_e=8)
+        good, bad = tmp_path / "model.json", tmp_path / "bad.json"
+        good.write_text(json.dumps(model_to_json(model)), encoding="utf-8")
+        state = write_json(tmp_path / "state.json", matrix_to_json(random_density(32, 6)))
+        assert run_cli(capsys, "bound", "--state", state, "--model", str(good))[0] == 0
+        assert run_cli(capsys, "kraus", "--model", str(good))[0] == 0
+        u = model.unitary.copy()
+        u[255, 17] += 1e-6
+        bad.write_text(json.dumps({**model_to_json(model), "unitary": matrix_to_json(u)}), encoding="utf-8")
+        for argv in (("bound", "--state", state), ("kraus",)):
+            code, out, err = run_cli(capsys, *argv, "--model", str(bad))
+            assert (code, out) == (1, "")
+            assert err.startswith("logent: error: matrix is not unitary: U U† deviates from I by ")
+            assert err.count("\n") == 1
+
 
 class TestExchange:
     def test_mixed_state_full_decay(self, capsys, mixed_state):
