@@ -44,10 +44,11 @@ _GRAM_ROWS = 128  # rows of A per block of the Gram-defect walk
 def _gram_defect(a: np.ndarray) -> float:
     """max |A A† - I| off the block upper triangle: about m^2 k / 2 multiply-adds for m x k A."""
     ah, peaks = a.conj().T, []
-    for s in range(0, len(a), _GRAM_ROWS):
-        g = a[s:s + _GRAM_ROWS] @ ah[:, s:]
-        g.reshape(-1)[::g.shape[1] + 1] -= 1  # g is a fresh C-ordered product: its block's diagonal
-        peaks.append(np.abs(g).max())
+    with np.errstate(invalid="ignore", over="ignore"):  # inf * 0 is a NaN peak, which fails the check
+        for s in range(0, len(a), _GRAM_ROWS):
+            g = a[s:s + _GRAM_ROWS] @ ah[:, s:]
+            g.reshape(-1)[::g.shape[1] + 1] -= 1  # g is a fresh C-ordered product: its block's diagonal
+            peaks.append(np.abs(g).max())
     return float(np.max(peaks))  # np.max keeps a NaN peak; max(0.0, nan) is 0.0
 
 

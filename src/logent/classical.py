@@ -12,7 +12,7 @@ import numpy as np
 
 from .channels import _channel
 from .linalg import DEFAULT_TOL
-from .measurement import _partition_projectors, _validate_projectors, validate_partition
+from .measurement import _partition_projectors, validate_partition
 from .states import _purities, _rng
 
 _AGREE = 1e-12  # two independently computed routes must agree this tightly
@@ -90,7 +90,7 @@ def _bridges(probs: np.ndarray, partitions) -> tuple[np.ndarray, np.ndarray]:
     """bridge_entropies over a (k, n) stack of distributions and k partitions."""
     h_classical = np.array([partition_entropy(p, blocks) for p, blocks in zip(probs, partitions)])
     amps = np.sqrt(probs).astype(np.complex128)
-    ps = _validate_projectors(_partition_projectors(partitions, probs.shape[1]))
+    ps = _partition_projectors(partitions, probs.shape[1])
     measured = _channel(amps[:, :, None] * amps.conj()[:, None, :], ps)
     return h_classical, 1.0 - _purities(measured)
 

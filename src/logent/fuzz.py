@@ -11,7 +11,11 @@ of their largest arrays. Each chunk's trials are drawn in trial order,
 grouped by shape, and each group is evaluated at once through the same
 private stacked kernels that the public functions run on a single
 instance; the results are folded back in trial order. So the summary
-does not depend on the grouping or the chunk size. The theorem suite
+does not depend on the grouping or the chunk size. A group's ensembles
+form one regular stack, each padded to the group's largest member count
+with zero-weight zero members, which leave every sum as it is; its
+partition projectors are checked as partitions, the data they are built
+from, rather than pair by pair. The theorem suite
 stacks its draws, then builds each trial's model and report with the
 public CouplingModel and verify_entropy_bound it checks.
 
@@ -36,8 +40,7 @@ import numpy as np
 from .channels import CouplingModel, _channel, verify_entropy_bound
 from .classical import _bridges, random_distribution, random_partition, validate_distribution
 from .linalg import DEFAULT_TOL
-from .measurement import (_entropy_gains, _nondecreasing, _partition_projectors, _purity_split,
-                          _validate_projectors)
+from .measurement import _entropy_gains, _nondecreasing, _partition_projectors, _purity_split
 from .mixing import _draw_ensemble, _mixing_bounds, _schmidt_pairs
 from .serialization import matrix_to_json, model_to_json
 from .states import (_gaussian, _haar, _pure_densities, _purities, _random_states, _unit,
@@ -159,7 +162,7 @@ def fuzz_measurement(trials: int, dim_max: int, seed: int) -> dict:
     def evaluate(key, draws):
         raw, partitions = zip(*draws)
         rho = _random_states(np.array(raw), key[2])
-        ps = _validate_projectors(_partition_projectors(partitions, key[0]))
+        ps = _partition_projectors(partitions, key[0])
         projected, mass = _purity_split(rho, ps)
         rho_hat = _channel(rho, ps)
         gain = _entropy_gains(rho, rho_hat)
@@ -186,19 +189,22 @@ def fuzz_mixing(trials: int, dim_max: int, seed: int) -> dict:
     def draw(t, rng):
         dim = _dim(rng, dim_max)
         n = int(rng.integers(2, _MAX_COMPONENTS + 1))
-        return (dim, t % 2 == 0), 16 * n * dim * dim, _draw_ensemble(dim, n, rng, pure=(t % 2 == 0))
+        # members are padded to the group's largest member count, at most _MAX_COMPONENTS
+        return (dim, t % 2 == 0), 16 * _MAX_COMPONENTS * dim * dim, _draw_ensemble(dim, n, rng, pure=t % 2 == 0)
 
     def evaluate(key, draws):
         w, raw = zip(*draws)
-        ends = np.cumsum([len(x) for x in w])
-        starts = np.append(0, ends[:-1])
         states = _random_states(np.concatenate(raw), key[1])
         _validate_densities(states, DEFAULT_TOL)  # Ensemble's checks: the members, then the weights
-        w = np.concatenate([validate_distribution(x) for x in w])
-        slack = _mixing_bounds(w, states, starts).slack
+        w = [validate_distribution(x) for x in w]
+        counts = np.array([len(x) for x in w])
+        inside = np.arange(counts.max()) < counts[:, None]  # each row's members, then zero padding
+        weights, members = np.zeros(inside.shape), np.zeros((*inside.shape, *states.shape[1:]), states.dtype)
+        weights[inside], members[inside] = np.concatenate(w), states
+        lhs, rhs, _ = _mixing_bounds(weights, members)
+        slack = rhs - lhs
         return [slack], [_slack_check(slack)], lambda m: {"ensemble": {
-            "weights": w[starts[m]:ends[m]].tolist(),
-            "states": [matrix_to_json(s) for s in states[starts[m]:ends[m]]]}}
+            "weights": w[m].tolist(), "states": [matrix_to_json(s) for s in members[m, :len(w[m])]]}}
 
     return _campaign("prop2", trials, seed, np.inf, min, draw, evaluate)
 

@@ -24,20 +24,22 @@ from .states import _purities
 
 
 def validate_partition(blocks, n: int) -> list[list[int]]:
-    """Check that blocks are disjoint, non-empty, and cover range(n)."""
+    """Check that blocks are disjoint, non-empty, and cover range(n) with integer indices."""
     seen: set[int] = set()
     out = []
     for b in blocks:
-        blk = [int(i) for i in b]
+        blk = list(b)
         if not blk:
             raise ValueError("partition contains an empty block")
         for i in blk:
+            if not isinstance(i, (int, np.integer)) or isinstance(i, bool):
+                raise ValueError(f"partition index {i!r} is not an integer")
             if not 0 <= i < n:
                 raise ValueError(f"partition index {i} outside [0, {n})")
             if i in seen:
                 raise ValueError(f"partition blocks overlap at index {i}")
             seen.add(i)
-        out.append(blk)
+        out.append([int(i) for i in blk])
     if len(seen) != n:
         missing = sorted(set(range(n)) - seen)
         raise ValueError(f"partition does not cover all indices; missing {missing}")
@@ -50,7 +52,9 @@ def projectors_from_partition(blocks, dim: int) -> list[np.ndarray]:
 
 
 def _partition_projectors(partitions, dim: int) -> np.ndarray:
-    """projectors_from_partition for many partitions, zero-padded to one (s, k, dim, dim) stack."""
+    """projectors_from_partition for many partitions, zero-padded to one (s, k, dim, dim) stack.
+    0/1 diagonals are complete and orthogonal exactly when their partition is valid: checking the
+    partitions here checks the sets, which therefore skip validate_projectors."""
     parts = [validate_partition(blocks, dim) for blocks in partitions]
     ps = np.zeros((len(parts), max(map(len, parts)), dim, dim), dtype=np.complex128)
     s, b, i = np.array([(s, b, i) for s, part in enumerate(parts) for b, blk in enumerate(part)
@@ -64,41 +68,30 @@ def validate_projectors(ps, tol: float = 1e-10) -> np.ndarray:
     idempotent, P_i P_j = 0 for i != j, and sum_i P_i = I.
 
     Returns the set as one (k, n, n) stack. The first failing check is
-    reported, projector by projector in order, then pair by pair.
+    reported: projector by projector in order, then the first misshaped
+    one, then each projector against its successors, then completeness.
+    Partition projectors are checked as partitions instead.
     """
     mats = [as_complex_matrix(p) for p in ps]
     if not mats:
         raise ValueError("empty projector set")
     dim = mats[0].shape[0]
     shaped = next((i for i, p in enumerate(mats) if p.shape != (dim, dim)), len(mats))
-    misshaped = (ValueError(f"projector {shaped} has shape {mats[shaped].shape}, expected {(dim, dim)}")
-                 if shaped < len(mats) else None)
-    return _validate_projectors(np.array(mats[:shaped]).reshape(1, shaped, dim, dim), tol, misshaped)[0]
-
-
-def _validate_projectors(ps: np.ndarray, tol: float = 1e-10, misshaped=None) -> np.ndarray:
-    """validate_projectors on an (s, k, n, n) stack; misshaped is raised before the pair checks."""
+    ps = np.array(mats[:shaped]).reshape(shaped, dim, dim)
     herm = np.abs(ps - ps.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
-    each = (herm <= tol) & (np.abs(ps @ ps - ps).max(axis=(-2, -1)) <= tol)
-    # pairs i < j in lexicographic order, one i at a time, so no product outgrows the stack
-    pairs = np.concatenate([np.ones((len(ps), 0), dtype=bool)] + [
-        np.abs(ps[:, i, None] @ ps[:, i + 1:]).max(axis=(-2, -1)) <= tol for i in range(ps.shape[1] - 1)],
-        axis=1)
-    whole = np.abs(ps.sum(axis=1) - np.eye(ps.shape[-1])).max(axis=(-2, -1)) <= tol
-    s = 0 if misshaped else _first(each.all(axis=1) & pairs.all(axis=1) & whole)
-    if s == len(ps):
-        return ps
-    bad = _first(each[s])
-    if bad < len(each[s]):
-        defect = "Hermitian" if not herm[s, bad] <= tol else "idempotent"
+    bad = _first((herm <= tol) & (np.abs(ps @ ps - ps).max(axis=(-2, -1)) <= tol))
+    if bad < shaped:
+        defect = "Hermitian" if not herm[bad] <= tol else "idempotent"
         raise ValueError(f"projector {bad} is not {defect} within {tol:.1e}")
-    if misshaped:
-        raise misshaped
-    bad = _first(pairs[s])
-    if bad < pairs.shape[1]:
-        i, j = np.triu_indices(ps.shape[1], 1)
-        raise ValueError(f"projectors {i[bad]} and {j[bad]} are not orthogonal within {tol:.1e}")
-    raise ValueError(f"projectors do not sum to the identity within {tol:.1e}")
+    if shaped < len(mats):
+        raise ValueError(f"projector {shaped} has shape {mats[shaped].shape}, expected {(dim, dim)}")
+    for i in range(shaped - 1):
+        bad = _first(np.abs(ps[i] @ ps[i + 1:]).max(axis=(-2, -1)) <= tol)
+        if bad < shaped - 1 - i:
+            raise ValueError(f"projectors {i} and {i + 1 + bad} are not orthogonal within {tol:.1e}")
+    if not np.abs(ps.sum(axis=0) - np.eye(dim)).max() <= tol:
+        raise ValueError(f"projectors do not sum to the identity within {tol:.1e}")
+    return ps
 
 
 def project(rho, ps) -> np.ndarray:

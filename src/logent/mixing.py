@@ -23,8 +23,6 @@ from .measurement import project, projectors_from_partition
 from .states import (_gaussian, _pure_densities, _purities, _random_states, _rng, density_from_pure,
                      logical_entropy, validate_density)
 
-_ALONE = np.zeros(1, dtype=int)  # the starts of a run holding one ensemble
-
 
 @dataclass(frozen=True)
 class Ensemble:
@@ -60,17 +58,14 @@ class Ensemble:
 
 def mix(ensemble: Ensemble) -> np.ndarray:
     """The mixture sum_i p_i rho_i."""
-    return _running_sums(ensemble.weights[:, None, None] * np.array(ensemble.states), _ALONE)[0]
+    return _running_sums((ensemble.weights[:, None, None] * np.array(ensemble.states))[None])[0]
 
 
-def _running_sums(terms: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    """Each ensemble's sum of its members' terms in a run, added in member order from zero."""
-    counts = np.diff(starts, append=len(terms))
-    k = np.arange(counts.max())
-    inside = (k < counts[:, None]).reshape(len(starts), len(k), *(1,) * (terms.ndim - 1))
-    rows = np.where(inside, terms[np.minimum(starts[:, None] + k, len(terms) - 1)], 0.0)
-    out = np.zeros((len(starts), *terms.shape[1:]), dtype=terms.dtype)
-    for row in rows.swapaxes(0, 1):  # adding the zero padding leaves every sum as it is
+def _running_sums(terms: np.ndarray) -> np.ndarray:
+    """Sums over the member axis 1 of a (g, m, ...) stack, added in member order from zero
+    (np.sum may regroup them), so the zero terms padding an ensemble leave its sum as it is."""
+    out = np.zeros_like(terms[:, 0])
+    for row in terms.swapaxes(0, 1):
         out += row
     return out
 
@@ -97,37 +92,26 @@ class MixReport:
 
 
 def orthogonal_support(ensemble: Ensemble, tol: float = 1e-10) -> bool:
-    """Whether all component pairs overlap less than tol in tr(rho_i rho_j)."""
-    return bool(_orthogonal(np.array(ensemble.states), _ALONE, tol)[0])
-
-
-def _orthogonal(states: np.ndarray, starts: np.ndarray, tol: float = 1e-10) -> np.ndarray:
-    """orthogonal_support of each ensemble in a run; its member pairs are taken len(states)
-    at a time, so no array outgrows the run."""
-    counts = np.diff(starts, append=len(states))
-    i, j = np.triu_indices(int(counts.max()), 1)
-    e, p = np.nonzero(j < counts[:, None])  # ensemble e holds its p-th pair (i[p], j[p])
-    a, b = starts[e] + i[p], starts[e] + j[p]
-    f = states.reshape(len(states), -1)
-    close = np.concatenate([np.abs(_dots(f[b[k:k + len(f)]], f[a[k:k + len(f)]])) >= tol
-                            for k in range(0, len(a), len(f))] or [np.zeros(0, dtype=bool)])
-    return np.bincount(e[close], minlength=len(starts)) == 0
+    """Whether all component pairs overlap less than tol in tr(rho_i rho_j). Each member is
+    compared with all its successors at once, so no array outgrows the ensemble."""
+    f = np.array(ensemble.states).reshape(len(ensemble), -1)
+    return not any((np.abs(_dots(f[i + 1:], f[i])) >= tol).any() for i in range(len(f) - 1))
 
 
 def mixing_bound_report(ensemble: Ensemble) -> MixReport:
     """Evaluate both sides of the mixing entropy bound."""
-    report = _mixing_bounds(ensemble.weights, np.array(ensemble.states), _ALONE)
-    return MixReport(**{name: value.item() for name, value in vars(report).items()})
-
-
-def _mixing_bounds(w: np.ndarray, states: np.ndarray, starts: np.ndarray) -> MixReport:
-    """mixing_bound_report over a run of checked ensembles, a MixReport of arrays: w (M,) and
-    states (M, d, d) hold the members in order, ensemble e starting at starts[e]."""
-    lhs = 1.0 - _purities(_running_sums(w[:, None, None] * states, starts))
-    h_w = np.array([weight_entropy(x) for x in np.split(w, starts[1:])])
-    rhs = h_w + _running_sums(w * w * (1.0 - _purities(states)), starts)
+    lhs, rhs, h_w = (x.item() for x in _mixing_bounds(ensemble.weights[None], np.array([ensemble.states])))
     return MixReport(mixture_entropy=lhs, bound=rhs, slack=rhs - lhs, weight_entropy=h_w,
-                     orthogonal_support=_orthogonal(states, starts))
+                     orthogonal_support=orthogonal_support(ensemble))
+
+
+def _mixing_bounds(w: np.ndarray, states: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """mixing_bound_report's mixture entropy, bound and weight entropy over a stack of checked
+    ensembles: weights w (g, m) and members (g, m, d, d), padded with zero-weight zero members."""
+    lhs = 1.0 - _purities(_running_sums(w[..., None, None] * states))
+    h_w = np.array([weight_entropy(row) for row in w])
+    rhs = h_w + _running_sums(w * w * (1.0 - _purities(states)))
+    return lhs, rhs, h_w
 
 
 def purify(rho) -> np.ndarray:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -94,7 +96,7 @@ class TestBlockedUnitarityCheck:
             assert verdicts[-1] == ("accept" if want <= DEFAULT_TOL else "reject")
         assert verdicts == ["accept", "reject", "reject"]
 
-    @pytest.mark.filterwarnings("ignore:invalid value encountered in matmul")  # inf * 0
+    @pytest.mark.filterwarnings("error")  # inf * 0 meets the Gram product: only the verdict reports it
     @pytest.mark.parametrize("n", SIZES)
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("spot", ["first row", "last row", "last column"])
@@ -104,6 +106,16 @@ class TestBlockedUnitarityCheck:
            "last column": (n // 2, n - 1)}[spot]] = bad
         with pytest.raises(ValueError, match="matrix is not unitary"):
             CouplingModel(u, dim_s=n, dim_e=1)
+
+    def test_non_finite_and_huge_entries_are_rejected_without_warnings(self):
+        for bad in (np.nan, np.inf, -np.inf, 1e200):
+            u = np.eye(4, dtype=complex)
+            u[1, 2] = bad
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match="matrix is not unitary: U U† deviates from I by (nan|inf)"):
+                    CouplingModel(u, dim_s=2, dim_e=2)
+                assert not completeness_defect(u.reshape(2, 2, 4)) <= 1.0
 
 
 class TestCouple:

@@ -242,9 +242,9 @@ def test_invalid_draws_raise_the_error_of_the_lowest_failing_trial(monkeypatch):
 def test_failing_mixing_trials_are_counted_and_recorded(monkeypatch):
     real = logent.fuzz._mixing_bounds
 
-    def broken(w, states, starts):
-        report = real(w, states, starts)
-        return dataclasses.replace(report, slack=np.full_like(report.slack, -1.0))
+    def broken(w, states):  # every mixture 1 above a bound of 0
+        lhs, rhs, h_w = real(w, states)
+        return np.ones_like(lhs), np.zeros_like(rhs), h_w
 
     monkeypatch.setattr(logent.fuzz, "_mixing_bounds", broken)
     seed, trials = 30, 5

@@ -1,8 +1,11 @@
+import re
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from logent.measurement import (entropy_gain, entropy_nondecreasing, project,
+from logent.classical import partition_entropy, random_partition
+from logent.measurement import (_partition_projectors, entropy_gain, entropy_nondecreasing, project,
                                 projectors_from_partition, purity_decomposition,
                                 validate_partition, validate_projectors)
 from logent.states import (density_from_pure, logical_entropy, purity,
@@ -24,6 +27,28 @@ def test_validate_partition_rejects_overlap_gap_empty():
         validate_partition([[0, 1, 2], []], 3)
     with pytest.raises(ValueError, match="outside"):
         validate_partition([[0, 3]], 3)
+
+
+def test_validate_partition_rejects_indices_that_are_not_integers():
+    for blocks, bad in [([[0.9], [1.2, 2.7]], 0.9), ([[0], [True, 2]], True), ([["2"], [0, 1]], "2"),
+                        ([[0, 1], [np.float64(2.0)]], np.float64(2.0)), ([[np.True_], [0, 2]], np.True_)]:
+        with pytest.raises(ValueError, match=re.escape(f"partition index {bad!r} is not an integer")):
+            validate_partition(blocks, 3)
+    with pytest.raises(ValueError, match="partition index 0.7 is not an integer"):
+        partition_entropy([0.5, 0.25, 0.25], [[0.7], [1.5, 2.2]])
+    # numpy integers are integers, and come back as Python ints
+    out = validate_partition([np.arange(2), [np.int64(2)]], 3)
+    assert out == [[0, 1], [2]] and all(type(i) is int for blk in out for i in blk)
+
+
+def test_partition_projectors_are_complete_and_orthogonal_by_construction():
+    # the campaigns check the partitions, not the projector sets built from them
+    rng = np.random.default_rng(0)
+    for dim in range(1, 49):
+        partitions = [random_partition(dim, rng) for _ in range(3)] + [[list(range(dim))],
+                                                                      [[i] for i in range(dim)]]
+        for ps in _partition_projectors(partitions, dim):  # each zero-padded to the stack's block count
+            validate_projectors(ps, tol=0.0)
 
 
 def test_projectors_from_partition_form_valid_set():

@@ -4,7 +4,7 @@ import pytest
 
 from logent.classical import logical_entropy_dist
 from logent.linalg import partial_trace
-from logent.mixing import (Ensemble, mix, mixing_bound_report, orthogonal_support,
+from logent.mixing import (Ensemble, _mixing_bounds, mix, mixing_bound_report, orthogonal_support,
                            purification_chain_check, purify, purify_ensemble,
                            random_ensemble, schmidt_entropy_pair, weight_entropy)
 from logent.states import (density_from_pure, logical_entropy, random_density,
@@ -207,3 +207,41 @@ def test_orthogonality_check_stays_the_size_of_the_ensemble(peak_bytes):
     # all 780 at once: 40 members need a few copies of their stack
     ens = random_ensemble(24, 40, 0, pure=False)
     assert peak_bytes(lambda: orthogonal_support(ens)) < 5 * 40 * 24 * 24 * 16
+
+
+def test_padding_leaves_every_result_as_it_was():
+    # 12 members are past the 8 terms after which np.sum regroups a sum, so
+    # every sum must run in member order from zero, padded or not
+    for dim, pure in [(1, False), (3, True), (4, False)]:
+        ens = random_ensemble(dim, 12, dim, pure=pure)
+        w, states = ens.weights, np.array(ens.states)
+        mixed, spread = np.zeros((dim, dim), dtype=complex), 0.0
+        for p, s in zip(w, states):
+            mixed += p * s
+            spread += p * p * (1.0 - np.vdot(s, s).real)
+        assert mix(ens).tobytes() == mixed.tobytes()
+        report = mixing_bound_report(ens)
+        assert report.mixture_entropy == 1.0 - np.vdot(mixed, mixed).real
+        assert report.weight_entropy == weight_entropy(w)
+        assert report.bound == weight_entropy(w) + spread
+        assert report.slack == report.bound - report.mixture_entropy
+        # beside a 3-member ensemble in a campaign's stack, padded with zero-weight zero members
+        short = random_ensemble(dim, 3, dim + 1, pure=pure)
+        weights, members = np.zeros((2, 12)), np.zeros((2, 12, dim, dim), dtype=complex)
+        weights[0], members[0] = w, states
+        weights[1, :3], members[1, :3] = short.weights, short.states
+        lhs, rhs, h_w = _mixing_bounds(weights, members)
+        for k, e in enumerate([ens, short]):
+            r = mixing_bound_report(e)
+            assert (lhs[k], rhs[k], h_w[k]) == (r.mixture_entropy, r.bound, r.weight_entropy)
+
+
+def test_orthogonal_support_checks_every_pair_of_twelve():
+    basis = [np.diag(np.eye(12)[i]).astype(complex) for i in range(12)]
+    assert orthogonal_support(Ensemble(np.full(12, 1 / 12), basis))
+    for i, j in [(0, 1), (3, 7), (10, 11)]:
+        overlapping = list(basis)
+        overlapping[j] = (basis[i] + basis[j]) / 2
+        ens = Ensemble(np.full(12, 1 / 12), overlapping)
+        assert not orthogonal_support(ens)
+        assert not mixing_bound_report(ens).orthogonal_support
