@@ -256,7 +256,8 @@ def rotate_env_init(model: CouplingModel, env_state) -> CouplingModel:
     w = np.asarray(env_state, dtype=np.complex128).reshape(-1)
     if w.shape[0] != model.dim_e:
         raise ValueError(f"dimension mismatch: env state has {w.shape[0]} entries, dim_e={model.dim_e}")
-    norm = float(np.linalg.norm(w))
+    with np.errstate(over="ignore"):  # huge entries overflow to inf, as an inf entry does
+        norm = float(np.linalg.norm(w))
     if not abs(norm - 1.0) <= 1e-6:
         raise ValueError(f"environment state norm {norm:.9g} deviates from 1 by more than 1e-6")
     w = w / norm

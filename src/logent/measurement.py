@@ -76,6 +76,8 @@ def validate_projectors(ps, tol: float = 1e-10) -> np.ndarray:
     if not mats:
         raise ValueError("empty projector set")
     dim = mats[0].shape[0]
+    if dim == 0:
+        raise ValueError(f"projector 0 has shape {mats[0].shape}: its dimension is empty")
     shaped = next((i for i, p in enumerate(mats) if p.shape != (dim, dim)), len(mats))
     ps = np.array(mats[:shaped]).reshape(shaped, dim, dim)
     herm = np.abs(ps - ps.conj().swapaxes(-1, -2)).max(axis=(-2, -1))

@@ -14,11 +14,15 @@ Every entry of `data`, `weights` and `probs` is a finite JSON number that
 fits a float64 (integers are accepted); booleans, strings, null, NaN and
 Infinity are rejected with a ValueError naming the entry. Types are
 checked once per distinct type and the numbers converted in bulk.
+load_json returns each `data` array of number pairs as a read-only (n, 2)
+float64 array, never a list per pair, and matrix_from_json takes it as it
+is; input it rejects fails with the same messages as plain JSON.
 """
 from __future__ import annotations
 
 import json
 import numbers
+import re
 from itertools import chain
 
 import numpy as np
@@ -71,6 +75,10 @@ def matrix_from_json(obj) -> np.ndarray:
             or rows < 1 or cols < 1):
         raise ValueError(f"rows/cols must be positive integers, got {rows!r}/{cols!r}")
     data = obj["data"]
+    if isinstance(data, np.ndarray):  # load_json's read of a pair array
+        if data.shape == (rows * cols, 2) and data.dtype == np.float64 and np.isfinite(data).all():
+            return np.ascontiguousarray(data).view(np.complex128).reshape(rows, cols)
+        data = data.tolist()
     if not isinstance(data, list) or len(data) != rows * cols:
         n = len(data) if isinstance(data, list) else f"type {type(data).__name__}"
         raise ValueError(f"data must hold exactly rows*cols={rows * cols} pairs, got {n}")
@@ -145,9 +153,77 @@ def distribution_from_json(obj) -> np.ndarray:
     return _float_list(probs, "probability")
 
 
+_DATA = re.compile(r'"data"[ \t\n\r]*:[ \t\n\r]*(?=\[)')
+_CLOSE = re.compile(r"\][ \t\n\r]*\]")
+_SPACE, _NUMBER = b" \t\n\r", b"0123456789+-.eE"
+_UNBRACKET = bytes.maketrans(b"[]", b"  ")
+_CHUNK = 1 << 20  # characters of a pair array checked and parsed at a time
+
+
+def _pair_array(text: str, start: int, end: int) -> np.ndarray:
+    """Read text[start:end], a JSON array of [re, im] number pairs, as a read-only (n, 2)
+    float64 array; raise ValueError or OverflowError when it is anything else.
+
+    Chunks of about _CHUNK characters, cut at commas, are checked in bulk: they hold only
+    number characters, JSON whitespace and "[],", no slot is empty ("[," or ",]" without
+    whitespace), and their brackets and commas join into the skeleton [[,],[,],...,[,]].
+    json.loads parses each with its brackets blanked out, one number per slot: the Python
+    ints and floats that parsing the nested lists gives.
+    """
+    skeletons, parts = [], []
+    while start < end:
+        cut = text.find(",", start + _CHUNK, end)
+        cut = end if cut < 0 else cut
+        raw = text[start:cut].encode("ascii")
+        squeezed = raw.translate(None, _SPACE)
+        dense = np.frombuffer(b"," + squeezed + b",", dtype=np.uint8)
+        left, right = dense[:-1], dense[1:]
+        skeletons.append(squeezed.translate(None, _NUMBER))
+        if skeletons[-1].translate(None, b"[],") or (
+                (left == ord("[")) & (right == ord(",")) | (left == ord(",")) & (right == ord("]"))).any():
+            raise ValueError("a character or an empty slot no pair array holds")
+        parts.append(np.array(json.loads(b"[" + raw.translate(_UNBRACKET) + b"]"), dtype=np.float64))
+        start = cut + 1
+    skeleton = b",".join(skeletons)
+    n = len(skeleton) // 4
+    if n < 1 or skeleton != b"[" + b"[,],"*(n - 1) + b"[,]]":
+        raise ValueError("not an array of pairs")
+    out = np.concatenate(parts).reshape(n, 2)
+    if not np.isfinite(out).all():
+        raise ValueError("non-finite number")
+    out.flags.writeable = False
+    return out
+
+
 def load_json(path: str):
+    """Parse a JSON file. Every "data" value that is an array of [re, im] number pairs,
+    all finite float64, comes back as a read-only (n, 2) float64 array instead of n
+    Python lists; matrix_from_json takes it as it is.
+
+    The rest of the document is parsed with each such array replaced by a NaN
+    placeholder. On any doubt (an array _pair_array refuses, a NaN elsewhere, a failed
+    parse) the whole text is parsed plainly, so rejected input fails as with json.load.
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        text = fh.read()
+    bounds, arrays, pos = [0], [], 0
+    try:
+        while (key := _DATA.search(text, pos)) is not None:
+            pos = key.end()
+            if text[key.start() - 1:key.start()] == "\\":  # an escaped quote: not a "data" key
+                continue
+            if (close := _CLOSE.search(text, pos)) is None:
+                raise ValueError("unclosed pair array")
+            arrays.append(_pair_array(text, pos, close.end()))
+            bounds += [pos, close.end()]
+            pos = close.end()
+        rest = [text[a:b] for a, b in zip(bounds[::2], bounds[1::2] + [len(text)])]
+        if any("NaN" in r for r in rest):
+            raise ValueError("NaN outside the pair arrays")
+        found = iter(arrays)
+        return json.loads("NaN".join(rest), parse_constant=lambda c: next(found) if c == "NaN" else float(c))
+    except (ValueError, OverflowError):
+        return json.loads(text)
 
 
 def dump_json(obj, path: str | None = None) -> str:

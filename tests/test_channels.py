@@ -414,6 +414,15 @@ class TestEnvRotation:
         with pytest.raises(ValueError, match="norm"):
             rotate_env_init(coupling_model(0.2), [np.nan, 0.0])
 
+    def test_overflowing_norm_is_rejected_without_warnings(self):
+        # a huge finite state overflows the norm to inf, and is rejected as an inf state is
+        for w in ([1e200, 1e200], [1e300, 0.0], [np.inf, 0.0], [np.nan, 0.0]):
+            norm = "nan" if np.isnan(w[0]) else "inf"
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match=f"environment state norm {norm} deviates from 1"):
+                    rotate_env_init(coupling_model(0.2), w)
+
 
 class TestExchangeEntropy:
     def test_identity_model_zero(self):

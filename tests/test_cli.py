@@ -11,6 +11,7 @@ import pytest
 import logent.cli
 import logent.fuzz
 from logent.cli import build_parser, main
+from logent import serialization
 from logent.serialization import dump_json, matrix_to_json, model_to_json
 from logent.states import random_density, random_unitary
 from logent.channels import CouplingModel
@@ -360,6 +361,21 @@ class TestBadInput:
         assert out == ""
         assert err.startswith("logent: error: ") and err.count("\n") == 1
         assert message in err and "Traceback" not in err
+
+    def test_bad_pair_past_the_first_chunk_exits_1_with_the_plain_reader_error(self, capsys, tmp_path):
+        model = CouplingModel(random_unitary(192, 3), dim_s=12, dim_e=16)
+        text = json.dumps(model_to_json(model))
+        second = text.index("[", text.index("[[") + serialization._CHUNK + 1000)  # a pair in chunk 2
+        k = text.count("[", text.index("[["), second) - 1
+        text = text[:second] + "[true, 0]" + text[text.index("]", second) + 1:]
+        with pytest.raises(json.JSONDecodeError) as truncated:
+            json.loads(text[:-100])
+        path = tmp_path / "model.json"
+        for body, message in ((text, f"data[{k}] must be a [re, im] pair of numbers, got [True, 0]"),
+                              (text[:-100], str(truncated.value))):
+            path.write_text(body, encoding="utf-8")
+            code, out, err = run_cli(capsys, "kraus", "--model", str(path))
+            assert (code, out, err) == (1, "", f"logent: error: {message}\n")
 
     def test_malformed_json(self, capsys, tmp_path):
         path = tmp_path / "broken.json"

@@ -62,6 +62,16 @@ def test_validate_projectors_rejects_nan():
         validate_projectors([np.diag([1.0, np.nan]), np.diag([0.0, 1.0])])
 
 
+def test_empty_projectors_are_named_at_every_entry_point():
+    empty = np.zeros((0, 0))
+    message = re.escape("projector 0 has shape (0, 0): its dimension is empty")
+    for call in (lambda: validate_projectors([empty]), lambda: project(empty, [empty]),
+                 lambda: purity_decomposition(empty, [empty]),
+                 lambda: validate_projectors([empty, np.eye(2)])):
+        with pytest.raises(ValueError, match=message):
+            call()
+
+
 def test_validate_projectors_catches_defects():
     with pytest.raises(ValueError, match="idempotent"):
         validate_projectors([np.eye(2) * 0.5, np.eye(2) * 0.5])

@@ -5,6 +5,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from logent import serialization
 from logent.amplitude_damping import coupling_model
 from logent.serialization import (distribution_from_json, dump_json,
                                   ensemble_from_json, load_json,
@@ -40,7 +41,7 @@ def _same_bits(a, b):
     return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
-def test_matrix_reader_is_bit_identical_to_pair_loop():
+def test_matrix_reader_is_bit_identical_to_pair_loop(tmp_path):
     rng = np.random.default_rng(11)
     for _ in range(300):
         rows, cols = rng.integers(1, 6, size=2)
@@ -49,6 +50,9 @@ def test_matrix_reader_is_bit_identical_to_pair_loop():
         obj = {"rows": int(rows), "cols": int(cols), "data": m.reshape(-1, 2).tolist()}
         for text in (obj, json.loads(json.dumps(obj))):
             assert _same_bits(matrix_from_json(text), _loop_from_json(text))
+        # and through a file, where load_json reads the pairs as one array
+        got = _assert_reads_like_json_loads(tmp_path / "m.json", json.dumps(obj))
+        assert isinstance(got, np.ndarray) and _same_bits(got, _loop_from_json(obj))
     # integers past float64's exact range round like float(); numpy scalars too
     big = [2**53 + 1, 2**63 + 1, -(2**64) - 3, 10**300 + 7, 3**600]
     scalars = [np.float32(0.1), np.int64(-7), np.float64(-0.0), np.uint8(200),
@@ -170,3 +174,147 @@ def test_dump_and_load_json(tmp_path):
     m = np.array([[0.5 + 0.25j]], dtype=complex)
     dump_json(matrix_to_json(m), str(path))
     npt.assert_array_equal(matrix_from_json(load_json(str(path))), m)
+
+
+def _outcome(read):
+    """A reader's matrix, or the type and message of what it raised."""
+    try:
+        return read()
+    except Exception as exc:  # the exception itself is what is compared
+        return type(exc), str(exc)
+
+
+def _plain(obj):
+    """The document with the pair array of each "data" key as lists, and every integer that
+    a float64 holds as the float it rounds to, as in a pair array. An array anywhere else
+    stays, and fails json.dumps."""
+    if isinstance(obj, dict):
+        return {k: v.tolist() if k == "data" and isinstance(v, np.ndarray) else _plain(v)
+                for k, v in obj.items()}
+    if isinstance(obj, list):
+        return list(map(_plain, obj))
+    if isinstance(obj, int) and not isinstance(obj, bool) and abs(obj) < 2**1023:
+        return float(obj)
+    return obj
+
+
+def _assert_reads_like_json_loads(path, text):
+    """load_json reads the file as json.loads reads its text, and matrix_from_json reads both
+    alike: the same document and bitwise the same matrix, or the same exception and message."""
+    path.write_bytes(text.encode("utf-8"))
+    plain = path.read_text(encoding="utf-8")  # json.load's own read, newlines translated
+    got, want = _outcome(lambda: load_json(str(path))), _outcome(lambda: json.loads(plain))
+    if isinstance(want, tuple):
+        same = got == want
+        assert same, (text[:200], got, want)
+        return got
+    same = json.dumps(_plain(got)) == json.dumps(_plain(want))  # not in the assert: no diff of MBs
+    assert same, text[:200]
+    got, want = _outcome(lambda: matrix_from_json(got)), _outcome(lambda: matrix_from_json(want))
+    if isinstance(want, np.ndarray):
+        assert isinstance(got, np.ndarray) and _same_bits(got, want), text[:200]
+    else:
+        same = got == want
+        assert same, (text[:200], got, want)
+    return got
+
+
+def test_load_json_reads_big_integers_and_signed_zeros_as_json_loads_does(tmp_path):
+    path = tmp_path / "m.json"
+    # integers past float64's exact range round as float() does; "-0" is the integer 0
+    entries = ["2" + "0" * 300, str(2**53 + 1), str(2**63 + 1), str(-(2**64) - 3), str(10**300 + 7),
+               str(3**600), "-0", "-0.0", "0", "5e-324", "1.7976931348623157e308", "-1", "1E+2", "1e-7"]
+    data = ", ".join(f"[{entries[k]}, {entries[-1 - k]}]" for k in range(len(entries)))
+    got = _assert_reads_like_json_loads(path, f'{{"rows": 2, "cols": 7, "data": [{data}]}}')
+    assert isinstance(got, np.ndarray) and not got.flags.writeable
+    assert not np.signbit(got[0, 6].real) and np.signbit(got[1, 0].real)  # -0 and -0.0
+
+
+PARITY_CASES = {
+    "junk after a pair": '[[1, 2]5]', "leading zero": '[[01, 2]]', "plus sign": '[[+1, 2]]',
+    "bare fraction": '[[.5, 2]]', "bare point": '[[1., 2]]', "bare exponent": '[[1e, 2]]',
+    "trailing comma": '[[1, 2], [3, 4],]', "missing comma": '[[1, 2] [3, 4]]',
+    "three-element pair": '[[1, 2, 3], [3, 4]]', "one-element pair": '[[1], [3, 4]]',
+    "overflow": '[[1e999, 2], [3, 4]]', "huge integer": '[[1' + "0" * 400 + ', 2], [3, 4]]',
+    "number moved past a bracket": '[[1, 2], [3, ]4]', "number moved before a bracket": '[[1, 2], 3[, 4]]',
+    "empty slot": '[[1, 2], [, 4]]', "empty pair": '[[1, 2], []]', "empty array": '[]',
+    "nested pair": '[[1, [2]], [3, 4]]', "bool": '[[true, 2], [3, 4]]', "string": '[["1", 2], [3, 4]]',
+    "null": '[[1, null], [3, 4]]', "object": '[[{}, 2], [3, 4]]', "object in a pair": '[[1, {"a": 2}], [3, 4]]', "Infinity": '[[1, 2], [-Infinity, 4]]', "NaN": '[[NaN, 2], [3, 4]]',
+    "whitespace": '[\t[1 ,\r\n2 ] ,\n[ 3,4]\r]', "spaced close": '[[1, 2], [3, 4] ]',
+    "short": '[[1, 2]]', "long": '[[1, 2], [3, 4], [5, 6]]', "truncated": '[[1, 2], [3, 4',
+    "unclosed": '[[1, 2], [3, 4]',
+}
+
+
+@pytest.mark.parametrize("case", sorted(PARITY_CASES))
+def test_load_json_rejects_what_json_loads_rejects(tmp_path, case):
+    data = PARITY_CASES[case]
+    _assert_reads_like_json_loads(tmp_path / "m.json", f'{{"rows": 2, "cols": 1, "data": {data}}}')
+    _assert_reads_like_json_loads(tmp_path / "m.json", f'{{"rows":2,"cols":1,"data":{data}}} ')
+
+
+def test_load_json_documents_around_the_pair_arrays(tmp_path):
+    path = tmp_path / "m.json"
+    good = '"rows": 1, "cols": 2, "data": [[1, 2], [3, 4]]'
+    for text in ('{"note": "NaN", ' + good + '}', '{"note": 1e999, ' + good + '}',
+                 '{"note": NaN, ' + good + '}', '{"note": [-Infinity], ' + good + '}',
+                 '{"note": "\\"data\\": [[7, 8]]", ' + good + '}',
+                 '{"\\"data": [[7, 8]], ' + good + '}',
+                 '{"data": [[7, 8]], ' + good + '}', '{' + good + ', "data": [[7, 8], [9, 0]]}',
+                 '{' + good + ', "data": [[7, 8]]}', '{' + good + ', "data": [[7, 8]}',
+                 '\ufeff{' + good + '}', '{' + good + '}\n', '{' + good + '} x', '{' + good,
+                 '{' + good + '}'[:-3], '\t{\r\n' + good.replace(" ", "\n") + '\r}\r\n',
+                 '{"mydata": [[7, 8]], ' + good + '}', '{"data" : \n [[7, 8]], ' + good + '}',
+                 '[{"data": [[1, 2]]}, "data", {"data": [[3, 4]]}]'):
+        _assert_reads_like_json_loads(path, text)
+    ens = {"weights": [0.5, 0.5], "states": [matrix_to_json(np.eye(2) / 2)] * 2}
+    path.write_text(json.dumps(ens), encoding="utf-8")
+    loaded = load_json(str(path))
+    assert all(isinstance(s["data"], np.ndarray) for s in loaded["states"])
+    assert _plain(loaded) == ens
+
+
+def test_load_json_random_mutations_read_like_json_loads(tmp_path):
+    rng = np.random.default_rng(2024)
+    text = '{"rows": 2, "cols": 2, "data": [[0.5, -1], [2e-3, 0], [-0, 7], [1.25E+2, -0.0]]}'
+    alphabet = '[],.-+eE0123456789 \t\n\r"{}:aN\\x'
+    for _ in range(500):
+        t = list(text)
+        for _ in range(rng.integers(1, 4)):
+            i, kind = int(rng.integers(len(t))), rng.integers(3)
+            c = alphabet[rng.integers(len(alphabet))]
+            if kind == 0:
+                t[i] = c
+            elif kind == 1:
+                del t[i]
+            else:
+                t.insert(i, c)
+        _assert_reads_like_json_loads(tmp_path / "m.json", "".join(t))
+
+
+def test_load_json_reads_pair_arrays_across_chunks(tmp_path):
+    rng = np.random.default_rng(5)
+    data = json.dumps(rng.standard_normal((40_000, 2)).tolist())
+    assert len(data) > 1.5 * serialization._CHUNK
+    text = f'{{"rows": 40000, "cols": 1, "data": {data}}}'
+    path = tmp_path / "m.json"
+    assert isinstance(_assert_reads_like_json_loads(path, text), np.ndarray)
+    second = text.index("[", text.index("[[") + serialization._CHUNK + 1000)  # a pair in chunk 2
+    end = text.index("]", second)
+    for bad in ("[true, 0]", "[0, 01]"):
+        _assert_reads_like_json_loads(path, text[:second] + bad + text[end + 1:])
+    _assert_reads_like_json_loads(path, text[:-2])
+
+
+def test_load_json_checks_every_chunk_boundary(tmp_path, monkeypatch):
+    # small chunks put a cut next to every kind of pair, slot and bracket
+    monkeypatch.setattr(serialization, "_CHUNK", 23)
+    pairs = [[f"{x:.3g}", f"{y:.3g}"] for x, y in np.random.default_rng(6).standard_normal((40, 2))]
+    path = tmp_path / "m.json"
+    for k, (re_, im) in enumerate(pairs):
+        for bad in (f"[{re_}, ]{im}", f"{re_}[, {im}]", f"[, {im}]", f"[{re_}, ]", "[true, 0]",
+                    f"[{re_} {im}]", f"[{re_}, {im}, 0]", f"[{re_},, {im}]", f"[{re_}, {im}],",
+                    f"[{re_}, {im}]"):
+            data = ", ".join([f"[{a}, {b}]" for a, b in pairs[:k]] + [bad]
+                             + [f"[{a}, {b}]" for a, b in pairs[k + 1:]])
+            _assert_reads_like_json_loads(path, f'{{"rows": 40, "cols": 1, "data": [{data}]}}')
