@@ -36,20 +36,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import DEFAULT_TOL, as_complex_matrix, hermiticity_defect
-from .states import logical_entropy, purity, validate_density
+from .states import _purities, validate_density
 
 _GRAM_ROWS = 128  # rows of A per block of the Gram-defect walk
 
 
 def _gram_defect(a: np.ndarray) -> float:
-    """max |A A† - I| off the block upper triangle: about m^2 k / 2 multiply-adds for m x k A."""
-    ah, peaks = a.conj().T, []
+    """max |A A† - I| off the block upper triangle: m^2 k / 2 multiply-adds, one product per 128 rows."""
+    ah, peak = a.conj().T, 0.0
     with np.errstate(invalid="ignore", over="ignore"):  # inf * 0 is a NaN peak, which fails the check
         for s in range(0, len(a), _GRAM_ROWS):
             g = a[s:s + _GRAM_ROWS] @ ah[:, s:]
             g.reshape(-1)[::g.shape[1] + 1] -= 1  # g is a fresh C-ordered product: its block's diagonal
-            peaks.append(np.abs(g).max())
-    return float(np.max(peaks))  # np.max keeps a NaN peak; max(0.0, nan) is 0.0
+            peak = np.abs(g).max(initial=peak)  # a NaN entry or peak stays NaN; max(0.0, nan) is 0.0
+    return float(peak)
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -121,11 +121,16 @@ def extract_kraus(model: CouplingModel) -> np.ndarray:
     checked (it follows from unitarity, so a violation means the model
     is corrupt).
     """
+    return _kraus(model)[0]
+
+
+def _kraus(model: CouplingModel) -> tuple[np.ndarray, float]:
+    """extract_kraus's operators and the completeness defect they were checked with."""
     ops = _isometry(model).reshape(model.dim_e, model.dim_s, model.dim_s)
-    defect = completeness_defect(ops)
+    defect = _gram_defect(ops.reshape(-1, model.dim_s).conj().T)  # completeness_defect(ops), not re-coerced
     if not defect <= DEFAULT_TOL:
         raise ValueError(f"Kraus completeness violated: sum E†E deviates from I by {defect:.3e}")
-    return ops
+    return ops, defect
 
 
 def _operator_stack(ops) -> np.ndarray:
@@ -228,20 +233,20 @@ def verify_entropy_bound(rho, model: CouplingModel, tol: float = DEFAULT_TOL) ->
     report; their slack may legitimately be negative. The output comes
     from the Kraus operators, and the bound and the projected entropy are
     separate sums of one block-weight matrix W: the off-diagonal sum and
-    1 - tr W.
+    1 - tr W. Each is computed once, by the kernels the stacked campaigns run.
     """
     rho = _on_system(validate_density(rho, tol=tol), model)
     ops = extract_kraus(model)
     w = _block_weights(rho, ops)
     bound = float(w[~np.eye(model.dim_e, dtype=bool)].sum().real)
-    entropy = logical_entropy(apply_channel(rho, ops))
-    projected = 1.0 - float(np.trace(w).real)
+    entropy = 1.0 - float(_purities(_channel(rho, ops)))
+    projected = 1.0 - float(w.trace().real)
     return BoundReport(
         entropy=entropy,
         bound=bound,
         slack=bound - entropy,
         projected_entropy=projected,
-        hypothesis_pure=purity(rho) >= 1.0 - tol,
+        hypothesis_pure=float(_purities(rho)) >= 1.0 - tol,
         projected_equals_bound=abs(projected - bound) <= tol,
         entropy_le_projected=entropy <= projected + tol,
     )

@@ -23,7 +23,7 @@ def validate_distribution(probs, tol: float = DEFAULT_TOL) -> np.ndarray:
     p = np.asarray(probs, dtype=float).reshape(-1)
     if p.shape[0] == 0:
         raise ValueError("empty distribution")
-    if np.any(p < 0):
+    if (p < 0).any():
         raise ValueError(f"negative probability {float(p.min()):.3e}")
     total = float(p.sum())
     if not abs(total - 1.0) <= tol:
@@ -44,10 +44,14 @@ def logical_entropy_dist(probs) -> float:
 def partition_entropy(probs, blocks) -> float:
     """1 - sum_B q_B^2 where q_B is the block's total probability."""
     p = validate_distribution(probs)
-    blocks = validate_partition(blocks, p.shape[0])
+    return _partition_entropy(p, validate_partition(blocks, p.shape[0]))
+
+
+def _partition_entropy(p: np.ndarray, blocks: list[list[int]]) -> float:
+    """partition_entropy of a checked distribution and partition."""
     q = np.array([p[b].sum() for b in blocks])
-    direct = float(1.0 - np.sum(q * q))
-    cross = dit_count(p, blocks)
+    direct = float(1.0 - (q * q).sum())
+    cross = _dit_count(p, blocks)
     if abs(direct - cross) > _AGREE:
         raise AssertionError(f"partition entropy routes disagree: {direct!r} vs {cross!r}")
     return direct
@@ -60,17 +64,21 @@ def dit_count(probs, blocks) -> float:
     independent oracle for partition_entropy.
     """
     p = validate_distribution(probs)
-    blocks = validate_partition(blocks, p.shape[0])
+    return _dit_count(p, validate_partition(blocks, p.shape[0]))
+
+
+def _dit_count(p: np.ndarray, blocks: list[list[int]]) -> float:
+    """dit_count of a checked distribution and partition."""
     label = {}
     for k, blk in enumerate(blocks):
         for i in blk:
             label[i] = k
-    total = 0.0
+    total, q = 0.0, p.tolist()  # the same Python floats as float(p[i])
     n = p.shape[0]
     for i in range(n):
         for j in range(n):
             if label[i] != label[j]:
-                total += float(p[i]) * float(p[j])
+                total += q[i] * q[j]
     return total
 
 
@@ -87,10 +95,12 @@ def bridge_entropies(probs, blocks) -> tuple[float, float]:
 
 
 def _bridges(probs: np.ndarray, partitions) -> tuple[np.ndarray, np.ndarray]:
-    """bridge_entropies over a (k, n) stack of distributions and k partitions."""
-    h_classical = np.array([partition_entropy(p, blocks) for p, blocks in zip(probs, partitions)])
+    """bridge_entropies over a (k, n) stack of distributions and k partitions, each checked once."""
+    n = probs.shape[1]  # each member checked as partition_entropy checks it, distribution first
+    checked = [(validate_distribution(p), validate_partition(b, n)) for p, b in zip(probs, partitions)]
+    h_classical = np.array([_partition_entropy(p, blocks) for p, blocks in checked])
     amps = np.sqrt(probs).astype(np.complex128)
-    ps = _partition_projectors(partitions, probs.shape[1])
+    ps = _partition_projectors([blocks for _, blocks in checked], n)
     measured = _channel(amps[:, :, None] * amps.conj()[:, None, :], ps)
     return h_classical, 1.0 - _purities(measured)
 

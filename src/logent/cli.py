@@ -21,8 +21,7 @@ from math import pi
 import numpy as np
 
 from . import amplitude_damping
-from .channels import (apply_channel, completeness_defect, exchange_entropy, extract_kraus,
-                       verify_entropy_bound)
+from .channels import _kraus, apply_channel, exchange_entropy, extract_kraus, verify_entropy_bound
 from .classical import bridge_entropies, validate_distribution
 from .fuzz import SUITES, run_suite
 from .measurement import projectors_from_partition, purity_decomposition
@@ -187,10 +186,8 @@ def _cmd_apply(parser, args) -> tuple[int, dict]:
 
 
 def _cmd_kraus(parser, args) -> tuple[int, dict]:
-    model = _load_model(parser, args)
-    ops = extract_kraus(model)
-    return EXIT_OK, {"operators": [matrix_to_json(e) for e in ops],
-                     "completeness_defect": completeness_defect(ops)}
+    ops, defect = _kraus(_load_model(parser, args))  # extract_kraus, keeping the defect it checked
+    return EXIT_OK, {"operators": [matrix_to_json(e) for e in ops], "completeness_defect": defect}
 
 
 def _cmd_sweep(parser, args) -> tuple[int, str]:

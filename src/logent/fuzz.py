@@ -15,9 +15,11 @@ does not depend on the grouping or the chunk size. A group's ensembles
 form one regular stack, each padded to the group's largest member count
 with zero-weight zero members, which leave every sum as it is; its
 partition projectors are checked as partitions, the data they are built
-from, rather than pair by pair. The theorem suite
-stacks its draws, then builds each trial's model and report with the
-public CouplingModel and verify_entropy_bound it checks.
+from, rather than pair by pair. A theorem trial reads its unitary's and
+its state's Gaussians, and a prop2 trial all its members', in one read of
+the stream: the numbers separate draws would give. A theorem trial calls
+the public CouplingModel and verify_entropy_bound it checks, and its slack
+must equal sum_{i != j} |W_ij|^2, W the Gram matrix of the E_i psi.
 
 Suite names follow the command-line interface: "theorem" (the off-block
 bound), "prop1" (measurement purity bookkeeping), "prop2" (the mixing
@@ -40,7 +42,8 @@ import numpy as np
 from .channels import CouplingModel, _channel, verify_entropy_bound
 from .classical import _bridges, random_distribution, random_partition, validate_distribution
 from .linalg import DEFAULT_TOL
-from .measurement import _entropy_gains, _nondecreasing, _partition_projectors, _purity_split
+from .measurement import (_entropy_gains, _nondecreasing, _partition_projectors, _purity_split,
+                          validate_partition)
 from .mixing import _draw_ensemble, _mixing_bounds, _schmidt_pairs
 from .serialization import matrix_to_json, model_to_json
 from .states import (_gaussian, _haar, _pure_densities, _purities, _random_states, _unit,
@@ -118,28 +121,34 @@ def _slack_check(slack: np.ndarray) -> tuple:
 def fuzz_bound(trials: int, dim_s_max: int, dim_e_max: int, seed: int) -> dict:
     """Off-block bound on Haar-random couplings of random pure states.
 
-    Checks per trial: slack >= -1e-9, and the report's two proof steps
+    Checks per trial: slack >= -1e-9, the report's two proof steps
     (projected entropy equals the bound, output entropy does not exceed
-    the projected entropy, both within verify_entropy_bound's tol). Each
-    trial's model and report come from the public CouplingModel and
-    verify_entropy_bound, the functions this suite checks.
+    the projected entropy, both within verify_entropy_bound's tol), and
+    slack = sum_{i != j} |<E_j psi|E_i psi>|^2 within 1e-10, which a bound
+    that is too loose fails. Each trial's model and report come from the
+    public CouplingModel and verify_entropy_bound, the functions checked.
     """
     def draw(t, rng):
         ds, de = _dim(rng, dim_s_max), _dim(rng, dim_e_max)
-        return (ds, de), 16 * (ds * de) ** 2, (_gaussian((ds * de, ds * de), rng), _gaussian(ds, rng))
+        return (ds, de), 16 * (ds * de) ** 2, rng.standard_normal(2 * (ds * de) ** 2 + 2 * ds)
 
     def evaluate(key, draws):
-        g, v = (np.array(x) for x in zip(*draws))
-        models = [CouplingModel(u, dim_s=key[0], dim_e=key[1]) for u in _haar(g)]
-        rho = _pure_densities(_unit(v))
+        (ds, de), z = key, np.array(draws)  # each row: U's real parts, then imaginary parts, then psi's
+        g, v = z[:, :-2 * ds].reshape(-1, 2, ds * de, ds * de), z[:, -2 * ds:].reshape(-1, 2, ds)
+        u, psi = _haar(g[:, 0] + 1j * g[:, 1]), _unit(v[:, 0] + 1j * v[:, 1])
+        models, rho = [CouplingModel(x, dim_s=ds, dim_e=de) for x in u], _pure_densities(psi)
         r = [verify_entropy_bound(x, model) for x, model in zip(rho, models)]
         slack = np.array([x.slack for x in r])
+        phi = (u[:, :, :ds].reshape(-1, de, ds, ds) @ psi[:, None, :, None])[..., 0]  # E_i psi
+        tight = (np.abs(phi @ phi.conj().swapaxes(1, 2))[:, ~np.eye(de, dtype=bool)] ** 2).sum(axis=1)
         return [slack], [
             _slack_check(slack),
             ([x.projected_equals_bound for x in r],
              lambda m: f"projected {r[m].projected_entropy!r} != bound {r[m].bound!r}"),
             ([x.entropy_le_projected for x in r],
              lambda m: f"entropy {r[m].entropy!r} > projected {r[m].projected_entropy!r}"),
+            (np.abs(slack - tight) <= _IDENTITY,
+             lambda m: f"slack {float(slack[m])!r} != off-diagonal weight {float(tight[m])!r} of W"),
         ], lambda m: {"state": matrix_to_json(rho[m]), "model": model_to_json(models[m])}
 
     return _campaign("theorem", trials, seed, np.inf, min, draw, evaluate)
@@ -162,16 +171,16 @@ def fuzz_measurement(trials: int, dim_max: int, seed: int) -> dict:
     def evaluate(key, draws):
         raw, partitions = zip(*draws)
         rho = _random_states(np.array(raw), key[2])
-        ps = _partition_projectors(partitions, key[0])
+        ps = _partition_projectors([validate_partition(b, key[0]) for b in partitions], key[0])
         projected, mass = _purity_split(rho, ps)
-        rho_hat = _channel(rho, ps)
-        gain = _entropy_gains(rho, rho_hat)
-        values = [np.abs(_purities(rho) - (projected + mass)), np.abs(gain - mass)]
+        purity, purity_hat = _purities(rho), _purities(_channel(rho, ps))
+        gain = _entropy_gains(purity, purity_hat)
+        values = [np.abs(purity - (projected + mass)), np.abs(gain - mass)]
         checks = [
             (values[0] <= _IDENTITY, lambda m: f"purity identity residual {float(values[0][m])!r}"),
             (values[1] <= _IDENTITY,
              lambda m: f"entropy gain {float(gain[m])!r} != off-block weight {float(mass[m])!r}"),
-            (_nondecreasing(rho, rho_hat, _GATE), lambda m: "entropy decreased under measurement"),
+            (_nondecreasing(purity, purity_hat, _GATE), lambda m: "entropy decreased under measurement"),
         ]
         if key[2]:  # only a pure state's projected entropy is the erased off-block weight
             values.append(np.abs((1.0 - projected) - mass))

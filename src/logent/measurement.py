@@ -48,14 +48,13 @@ def validate_partition(blocks, n: int) -> list[list[int]]:
 
 def projectors_from_partition(blocks, dim: int) -> list[np.ndarray]:
     """Diagonal projectors onto the coordinate subspaces of a partition."""
-    return list(_partition_projectors([blocks], dim)[0])
+    return list(_partition_projectors([validate_partition(blocks, dim)], dim)[0])
 
 
-def _partition_projectors(partitions, dim: int) -> np.ndarray:
-    """projectors_from_partition for many partitions, zero-padded to one (s, k, dim, dim) stack.
-    0/1 diagonals are complete and orthogonal exactly when their partition is valid: checking the
-    partitions here checks the sets, which therefore skip validate_projectors."""
-    parts = [validate_partition(blocks, dim) for blocks in partitions]
+def _partition_projectors(parts, dim: int) -> np.ndarray:
+    """projectors_from_partition for partitions its callers checked with validate_partition, zero-padded
+    to one (s, k, dim, dim) stack. 0/1 diagonals are complete and orthogonal exactly when their
+    partition is valid, so checking the partitions checks the sets, which skip validate_projectors."""
     ps = np.zeros((len(parts), max(map(len, parts)), dim, dim), dtype=np.complex128)
     s, b, i = np.array([(s, b, i) for s, part in enumerate(parts) for b, blk in enumerate(part)
                         for i in blk], dtype=int).reshape(-1, 3).T
@@ -143,21 +142,21 @@ def entropy_gain(rho, ps) -> float:
     purity_decomposition reports.
     """
     rho_hat = project(rho, ps)
-    return float(_entropy_gains(as_complex_matrix(rho), rho_hat))
+    return float(_entropy_gains(_purities(as_complex_matrix(rho)), _purities(rho_hat)))
 
 
-def _entropy_gains(rho: np.ndarray, rho_hat: np.ndarray) -> np.ndarray:
-    """entropy_gain from stacks of states and their measured states."""
-    return (1.0 - _purities(rho_hat)) - (1.0 - _purities(rho))
+def _entropy_gains(purity: np.ndarray, purity_hat: np.ndarray) -> np.ndarray:
+    """entropy_gain from the purities of states and of their measured states."""
+    return (1.0 - purity_hat) - (1.0 - purity)
 
 
 def entropy_nondecreasing(rho, ps, tol: float = DEFAULT_TOL) -> bool:
     """Whether h(rho) <= h(rho_hat) + tol. Holds for every complete
     orthogonal projector set, basis-aligned or not."""
     rho_hat = project(rho, ps)
-    return bool(_nondecreasing(as_complex_matrix(rho), rho_hat, tol))
+    return bool(_nondecreasing(_purities(as_complex_matrix(rho)), _purities(rho_hat), tol))
 
 
-def _nondecreasing(rho: np.ndarray, rho_hat: np.ndarray, tol: float) -> np.ndarray:
-    """entropy_nondecreasing over stacks of states and their measured states."""
-    return 1.0 - _purities(rho) <= 1.0 - _purities(rho_hat) + tol
+def _nondecreasing(purity: np.ndarray, purity_hat: np.ndarray, tol: float) -> np.ndarray:
+    """entropy_nondecreasing from the purities of states and of their measured states."""
+    return 1.0 - purity <= 1.0 - purity_hat + tol

@@ -20,7 +20,7 @@ import numpy as np
 from .classical import validate_distribution
 from .linalg import DEFAULT_TOL, _dots, _partial_trace, partial_trace
 from .measurement import project, projectors_from_partition
-from .states import (_gaussian, _pure_densities, _purities, _random_states, _rng, density_from_pure,
+from .states import (_pure_densities, _purities, _random_states, _rng, density_from_pure,
                      logical_entropy, validate_density)
 
 
@@ -73,7 +73,7 @@ def _running_sums(terms: np.ndarray) -> np.ndarray:
 def weight_entropy(weights) -> float:
     """1 - sum p_i^2, the logical entropy of the weight distribution."""
     w = np.asarray(weights, dtype=float)
-    return float(1.0 - np.sum(w * w))
+    return float(1.0 - (w * w).sum())
 
 
 @dataclass(frozen=True)
@@ -194,6 +194,6 @@ def random_ensemble(dim: int, n: int, seed, pure: bool = True) -> Ensemble:
 
 
 def _draw_ensemble(dim: int, n: int, rng: np.random.Generator, pure: bool):
-    """random_ensemble's draws: the weights, then each member's Gaussian."""
-    w = rng.dirichlet(np.ones(n))
-    return w, np.array([_gaussian(dim if pure else (dim, dim), rng) for _ in range(n)])
+    """random_ensemble's draws: the weights, then each member's _gaussian, all in one read of the stream."""
+    w, x = rng.dirichlet(np.ones(n)), rng.standard_normal((n, 2, dim) if pure else (n, 2, dim, dim))
+    return w, x[:, 0] + 1j * x[:, 1]

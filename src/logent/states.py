@@ -58,7 +58,7 @@ def _validate_densities(m: np.ndarray, tol: float) -> None:
     herm = np.abs(m - m.conj().swapaxes(1, 2)).max(axis=(1, 2), initial=0.0)
     tr = m.trace(axis1=1, axis2=2)
     dev = np.abs(tr - 1.0)
-    cut = _first((herm <= tol) & (dev <= tol))
+    cut = _first(np.maximum(herm, dev) <= tol)  # a NaN in either fails
     lo = np.linalg.eigvalsh(m[:cut])[:, 0] if cut else np.zeros(0)
     neg = _first(lo >= -tol)
     if neg < cut:

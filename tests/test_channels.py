@@ -205,8 +205,12 @@ class TestKraus:
         u = model.unitary.copy()
         u[4, 1] = np.nan
         object.__setattr__(model, "unitary", u)
-        with pytest.raises(ValueError, match="Kraus completeness violated"):
-            extract_kraus(model)
+        rho = density_from_pure(random_pure_state(3, 1))
+        # every reader of the Kraus operators checks completeness, the reports included
+        readers = (extract_kraus, lambda m: verify_entropy_bound(rho, m), lambda m: exchange_entropy(rho, m))
+        for reader in readers:
+            with pytest.raises(ValueError, match="Kraus completeness violated"):
+                reader(model)
 
 
 class TestApplyChannel:

@@ -9,7 +9,7 @@ import pytest
 import logent.fuzz
 from logent.fuzz import (SUITES, fuzz_bound, fuzz_bridge, fuzz_measurement,
                          fuzz_mixing, fuzz_schmidt, run_suite)
-from logent.channels import CouplingModel, verify_entropy_bound
+from logent.channels import CouplingModel, extract_kraus, verify_entropy_bound
 from logent.classical import bridge_entropies, random_distribution, random_partition
 from logent.measurement import (entropy_gain, entropy_nondecreasing, projectors_from_partition,
                                 purity_decomposition)
@@ -89,16 +89,42 @@ def test_failing_trials_are_counted_and_recorded(monkeypatch):
     for record in summary["failed_trials"]:
         t = record["trial"]
         assert record["seed"] == seed + t
-        assert record["checks"] == ["slack -1.0 < -1e-9"]
         # trial t replays from default_rng(seed + t) alone
         rng = np.random.default_rng(seed + t)
         ds = int(rng.integers(2, 5))
         de = int(rng.integers(2, 4))
         u = random_unitary(ds * de, rng)
-        npt.assert_array_equal(matrix_from_json(record["state"]),
-                               density_from_pure(random_pure_state(ds, rng)))
+        psi = random_pure_state(ds, rng)
+        npt.assert_array_equal(matrix_from_json(record["state"]), density_from_pure(psi))
         npt.assert_array_equal(matrix_from_json(record["model"]["unitary"]), u)
         assert (record["model"]["dim_s"], record["model"]["dim_e"]) == (ds, de)
+        # a slack of -1.0 also breaks slack = sum_{i != j} |W_ij|^2
+        assert record["checks"][0] == "slack -1.0 < -1e-9" and len(record["checks"]) == 2
+        tight = _off_diagonal_weight(CouplingModel(u, dim_s=ds, dim_e=de), psi)
+        prefix, suffix = "slack -1.0 != off-diagonal weight ", " of W"
+        assert record["checks"][1].startswith(prefix) and record["checks"][1].endswith(suffix)
+        assert float(record["checks"][1][len(prefix):-len(suffix)]) == pytest.approx(tight, abs=1e-14)
+
+
+def test_loose_bound_fails_only_the_gram_identity(monkeypatch):
+    # a bound 50% too loose, with the projected entropy kept equal to it, passes the slack
+    # and proof-step checks; slack = sum_{i != j} |W_ij|^2 for pure input is what catches it
+    real = logent.fuzz.verify_entropy_bound
+
+    def loose(rho, model):
+        r = real(rho, model)
+        bound, projected = 1.5 * r.bound, 1.5 * r.projected_entropy
+        return dataclasses.replace(r, bound=bound, projected_entropy=projected, slack=bound - r.entropy,
+                                   projected_equals_bound=abs(projected - bound) <= 1e-9,
+                                   entropy_le_projected=r.entropy <= projected + 1e-9)
+
+    monkeypatch.setattr(logent.fuzz, "verify_entropy_bound", loose)
+    trials = 60
+    summary = fuzz_bound(trials, 6, 4, 42)
+    assert summary["failures"] == trials and summary["worst_slack"] >= 0.0
+    for record in summary["failed_trials"]:
+        (check,) = record["checks"]
+        assert check.startswith("slack ") and check.endswith(" of W") and "!= off-diagonal weight" in check
 
 
 def test_nan_slack_counts_as_failure(monkeypatch):
@@ -136,17 +162,27 @@ def _oracle_dim(rng, dim_max):
     return int(rng.integers(2 if dim_max >= 2 else 1, dim_max + 1))
 
 
+def _off_diagonal_weight(model, psi):
+    """sum_{i != j} |W_ij|^2 for W_ij = <E_j psi|E_i psi>, which for pure input is the slack."""
+    phi = [e @ psi for e in extract_kraus(model)]
+    return sum(abs(np.vdot(b, a)) ** 2 for i, a in enumerate(phi) for j, b in enumerate(phi) if i != j)
+
+
 def _oracle_trial(suite, t, rng, dim_s_max, dim_e_max):
     """(values, failed checks) of trial t, as the serial campaigns made them."""
     if suite == "theorem":
         ds, de = _oracle_dim(rng, dim_s_max), _oracle_dim(rng, dim_e_max)
         model = CouplingModel(random_unitary(ds * de, rng), dim_s=ds, dim_e=de)
-        r = verify_entropy_bound(density_from_pure(random_pure_state(ds, rng)), model)
+        psi = random_pure_state(ds, rng)
+        r = verify_entropy_bound(density_from_pure(psi), model)
         bad = [f"slack {r.slack!r} < -1e-9"] if not r.slack >= -1e-9 else []
         if not r.projected_equals_bound:
             bad.append(f"projected {r.projected_entropy!r} != bound {r.bound!r}")
         if not r.entropy_le_projected:
             bad.append(f"entropy {r.entropy!r} > projected {r.projected_entropy!r}")
+        tight = _off_diagonal_weight(model, psi)
+        if not abs(r.slack - tight) <= 1e-10:
+            bad.append(f"slack {r.slack!r} != off-diagonal weight {tight!r} of W")
         return (r.slack,), bad
     if suite == "prop1":
         dim = _oracle_dim(rng, dim_s_max)

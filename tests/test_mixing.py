@@ -7,7 +7,7 @@ from logent.linalg import partial_trace
 from logent.mixing import (Ensemble, _mixing_bounds, mix, mixing_bound_report, orthogonal_support,
                            purification_chain_check, purify, purify_ensemble,
                            random_ensemble, schmidt_entropy_pair, weight_entropy)
-from logent.states import (density_from_pure, logical_entropy, random_density,
+from logent.states import (_random_states, density_from_pure, logical_entropy, random_density,
                            random_pure_state)
 
 
@@ -245,3 +245,15 @@ def test_orthogonal_support_checks_every_pair_of_twelve():
         ens = Ensemble(np.full(12, 1 / 12), overlapping)
         assert not orthogonal_support(ens)
         assert not mixing_bound_report(ens).orthogonal_support
+
+
+def test_ensemble_members_are_drawn_as_one_gaussian_after_another():
+    # one read of the stream for all members yields the numbers of the member-by-member draws
+    for seed, dim, n, pure in [(0, 3, 2, True), (1, 4, 6, False), (2, 1, 3, True), (3, 2, 5, False)]:
+        rng = np.random.default_rng(seed)
+        w = rng.dirichlet(np.ones(n))
+        shape = dim if pure else (dim, dim)
+        members = np.array([rng.standard_normal(shape) + 1j * rng.standard_normal(shape) for _ in range(n)])
+        ens = random_ensemble(dim, n, seed, pure=pure)
+        npt.assert_array_equal(ens.weights, w / w.sum())  # Ensemble renormalizes its weights
+        npt.assert_array_equal(np.array(ens.states), _random_states(members, pure))
