@@ -13,9 +13,11 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
+from contextlib import nullcontext
 from math import pi
 
 import numpy as np
@@ -131,11 +133,8 @@ def _load_model(parser, args):
 
 
 def _emit(text: str, args) -> None:
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
-    else:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+    with open(args.output, "w", encoding="utf-8") if args.output else nullcontext(sys.stdout) as fh:
+        fh.write(text if text.endswith("\n") else text + "\n")
 
 
 def _render(payload: dict, args) -> str:
@@ -271,23 +270,21 @@ _COMMANDS = {
     "prop2": _cmd_prop2,
     "bridge": _cmd_bridge,
 }
+_parser = functools.cache(build_parser)  # parse_args leaves a parser as it found it
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    """Run one command and return its exit code. The parser is built once per process."""
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
         code, payload = _COMMANDS[args.command](parser, args)
-        text = payload if isinstance(payload, str) else _render(payload, args)
-    except SystemExit as exc:  # parser.error inside a command
+        _emit(payload if isinstance(payload, str) else _render(payload, args), args)
+    except SystemExit as exc:  # a usage error, also parser.error inside a command
         return int(exc.code or 0)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError, json.JSONDecodeError) as exc:  # bad input, or --output unwritable
         print(f"logent: error: {exc}", file=sys.stderr)
         return EXIT_FAILURE
-    _emit(text, args)
     return code
 
 

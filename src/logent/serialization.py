@@ -158,6 +158,7 @@ _CLOSE = re.compile(r"\][ \t\n\r]*\]")
 _SPACE, _NUMBER = b" \t\n\r", b"0123456789+-.eE"
 _UNBRACKET = bytes.maketrans(b"[]", b"  ")
 _CHUNK = 1 << 20  # characters of a pair array checked and parsed at a time
+_PAIRS = "\0pairs\0"  # stands in for a pair array while json.dumps writes the rest
 
 
 def _pair_array(text: str, start: int, end: int) -> np.ndarray:
@@ -226,8 +227,40 @@ def load_json(path: str):
         return json.loads(text)
 
 
+def _lift_pairs(obj, arrays: list):
+    """obj, copied, with each "data" list of [float, float] lists moved to arrays as _PAIRS."""
+    if type(obj) is not dict:
+        return [_lift_pairs(v, arrays) for v in obj] if type(obj) is list else obj
+    out = {}
+    for k, v in obj.items():
+        if (type(k) is str and k == "data" and type(v) is list and set(map(type, v)) == {list}
+                and set(map(len, v)) == {2} and set(map(type, chain.from_iterable(v))) == {float}):
+            arrays.append(v)
+            v = _PAIRS
+        out[k] = _lift_pairs(v, arrays)
+    return out
+
+
 def dump_json(obj, path: str | None = None) -> str:
-    text = json.dumps(obj, indent=2, allow_nan=False)  # NaN/Infinity are not JSON
+    """json.dumps(obj, indent=2, allow_nan=False), byte for byte. Each "data" list of
+    [float, float] pairs is written in bulk, one float.__repr__ pass joined with the fixed
+    indent separators; json.dumps writes the rest around a placeholder. On any doubt (a
+    non-finite pair, a real string equal to the placeholder, a cycle ending in
+    RecursionError) plain json.dumps writes the whole object, or raises its own error."""
+    arrays = []
+    try:
+        pieces = json.dumps(_lift_pairs(obj, arrays), indent=2, allow_nan=False).split(json.dumps(_PAIRS))
+        text = pieces[:1]
+        for pairs, after in zip(arrays, pieces[1:], strict=True):  # more pieces: a real placeholder
+            ind = text[-1][text[-1].rfind("\n") + 1:-len('"data": ')]
+            it = map(float.__repr__, chain.from_iterable(pairs))
+            body = f"\n{ind}  ],\n{ind}  [\n{ind}    ".join(map(f",\n{ind}    ".join, zip(it, it)))
+            if "n" in body:  # inf, -inf or nan: no finite repr holds an "n"
+                raise ValueError("non-finite pair")
+            text += [f"[\n{ind}  [\n{ind}    ", body, f"\n{ind}  ]\n{ind}]", after]
+        text = "".join(text)
+    except (ValueError, TypeError, RecursionError):
+        text = json.dumps(obj, indent=2, allow_nan=False)
     if path is not None:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")

@@ -293,6 +293,19 @@ class TestUsageErrors:
         assert code == 64
         assert "--theta" in err
 
+    def test_one_parser_serves_calls_in_turn_as_fresh_parsers_do(self, capsys, monkeypatch,
+                                                                 plus_state):
+        calls = [("entropy", "--state", plus_state, "--bogus"),
+                 ("--format", "csv", "entropy", "--state", plus_state),
+                 ("bound", "--state", plus_state, "--channel", "amplitude-damping"),
+                 ("bound", "--state", plus_state, "--channel", "amplitude-damping", "--theta", "0.3")]
+        shared = [run_cli(capsys, *argv) for argv in calls]
+        assert [code for code, _, _ in shared] == [64, 0, 64, 0]
+        assert logent.cli._parser() is logent.cli._parser()
+        monkeypatch.setattr(logent.cli, "_parser", build_parser)
+        assert [run_cli(capsys, *argv) for argv in calls] == shared
+        assert build_parser() is not build_parser()
+
     def test_model_and_channel_conflict(self, capsys, tmp_path, plus_state):
         model = CouplingModel(random_unitary(4, 1), dim_s=2, dim_e=2)
         model_file = write_json(tmp_path / "m.json", model_to_json(model))
@@ -376,6 +389,16 @@ class TestBadInput:
             path.write_text(body, encoding="utf-8")
             code, out, err = run_cli(capsys, "kraus", "--model", str(path))
             assert (code, out, err) == (1, "", f"logent: error: {message}\n")
+
+    @pytest.mark.parametrize("where", ["missing directory", "directory"])
+    def test_unwritable_output_exits_1_with_one_error_line(self, capsys, tmp_path, where):
+        out = tmp_path / "missing" / "x.json" if where == "missing directory" else tmp_path
+        code, stdout, err = run_cli(capsys, "--output", str(out), "kraus",
+                                    "--channel", "amplitude-damping", "--theta", "0.3")
+        assert code == 1
+        assert stdout == ""
+        assert err.startswith("logent: error: ") and err.count("\n") == 1
+        assert str(out) in err
 
     def test_malformed_json(self, capsys, tmp_path):
         path = tmp_path / "broken.json"

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 
@@ -5,13 +6,17 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+import logent.fuzz
 from logent import serialization
 from logent.amplitude_damping import coupling_model
+from logent.channels import CouplingModel, _kraus
+from logent.fuzz import run_suite
 from logent.serialization import (distribution_from_json, dump_json,
                                   ensemble_from_json, load_json,
                                   matrix_from_json, matrix_to_json,
                                   model_from_json, model_to_json,
                                   partition_from_json)
+from logent.states import random_density, random_unitary
 
 
 def test_matrix_round_trip_is_lossless():
@@ -41,13 +46,18 @@ def _same_bits(a, b):
     return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
-def test_matrix_reader_is_bit_identical_to_pair_loop(tmp_path):
+def _wide_range_matrices():
+    """300 matrix objects of 1..5 x 1..5 pairs, exponents from -300 to 300."""
     rng = np.random.default_rng(11)
     for _ in range(300):
         rows, cols = rng.integers(1, 6, size=2)
         mant = rng.standard_normal((rows, cols, 2))
         m = mant * 10.0 ** rng.integers(-300, 301, size=(rows, cols, 2))
-        obj = {"rows": int(rows), "cols": int(cols), "data": m.reshape(-1, 2).tolist()}
+        yield {"rows": int(rows), "cols": int(cols), "data": m.reshape(-1, 2).tolist()}
+
+
+def test_matrix_reader_is_bit_identical_to_pair_loop(tmp_path):
+    for obj in _wide_range_matrices():
         for text in (obj, json.loads(json.dumps(obj))):
             assert _same_bits(matrix_from_json(text), _loop_from_json(text))
         # and through a file, where load_json reads the pairs as one array
@@ -174,6 +184,71 @@ def test_dump_and_load_json(tmp_path):
     m = np.array([[0.5 + 0.25j]], dtype=complex)
     dump_json(matrix_to_json(m), str(path))
     npt.assert_array_equal(matrix_from_json(load_json(str(path))), m)
+
+
+def _assert_writes_like_json_dumps(obj):
+    """dump_json writes json.dumps(indent=2, allow_nan=False)'s bytes, or raises its exception."""
+    got = _outcome(lambda: dump_json(obj))
+    want = _outcome(lambda: json.dumps(obj, indent=2, allow_nan=False))
+    same = got == want  # not in the assert: no diff of MBs
+    assert same, (str(obj)[:200], str(got)[:200], str(want)[:200])
+    return got
+
+
+def test_dump_json_writes_the_bytes_of_json_dumps(monkeypatch):
+    for obj in _wide_range_matrices():
+        _assert_writes_like_json_dumps(obj)
+    model = CouplingModel(random_unitary(24, 3), dim_s=6, dim_e=4)
+    ops, defect = _kraus(model)
+    kraus = {"operators": [matrix_to_json(e) for e in ops], "completeness_defect": defect}
+    arrays = []
+    serialization._lift_pairs(kraus, arrays)
+    assert [len(a) for a in arrays] == [36] * 4  # every operator goes through the bulk path
+    _assert_writes_like_json_dumps(kraus)
+    _assert_writes_like_json_dumps(model_to_json(model))
+    _assert_writes_like_json_dumps({"weights": [0.25, 0.75],
+                                    "states": [matrix_to_json(random_density(3, s)) for s in (1, 2)]})
+    real = logent.fuzz.verify_entropy_bound
+    monkeypatch.setattr(logent.fuzz, "verify_entropy_bound",
+                        lambda rho, model: dataclasses.replace(real(rho, model), slack=-1.0))
+    summary = run_suite("all", 5, 4, 3, 20)
+    assert summary["suites"][0]["failed_trials"]  # each records its state and model
+    _assert_writes_like_json_dumps(summary)
+    edge = [-0.0, 5e-324, 1e16, 1e-7, 1.7976931348623157e308, -1.7976931348623157e308, 0.1]
+    _assert_writes_like_json_dumps({"rows": 1, "cols": 7, "data": [[x, edge[-1 - k]] for k, x in enumerate(edge)]})
+    text = dump_json({"data": [[x, x] for x in edge]})
+    assert all(f"      {x!r}" in text for x in edge)  # repr precision, "1e+16" and "1e-07" included
+
+
+WRITER_CASES = {
+    "int in a pair": {"data": [[1, 2.0], [3.0, 4.0]]}, "bool in a pair": {"data": [[True, 2.0]]},
+    "empty data": {"rows": 1, "cols": 1, "data": []}, "strings": {"data": [["1.0", "2.0"]]},
+    "string data": {"data": "[[1.0, 2.0]]"}, "triples": {"data": [[1.0, 2.0, 3.0]]},
+    "float subclass": {"data": [[np.float64(0.1), 2.0]]}, "tuple pairs": {"data": [(1.0, 2.0)]},
+    "non-ASCII keys": {"é": {"data": [[1.0, 2.0]]}, "ключ": "значение", "data": [[3.0, 4.0]]},
+    "placeholder string": {"note": serialization._PAIRS, "data": [[1.0, 2.0]]},
+    "placeholder key": {serialization._PAIRS: 1, "data": [[1.0, 2.0]]},
+    "placeholder data": {"data": serialization._PAIRS, "m": {"data": [[1.0, 2.0]]}},
+    "nested": [{"data": [[1.0, 2.0]]}, ({"x": [{"data": [[3.0, -4.0]]}]},), "data", {"data": None}],
+    "NaN in data": {"data": [[1.0, 2.0], [float("nan"), 0.0]]},
+    "inf in data": {"data": [[float("inf"), 2.0]]}, "-inf in data": {"data": [[1.0, float("-inf")]]},
+    "NaN outside": {"x": float("nan"), "data": [[1.0, 2.0]]},
+    "inf outside": {"data": [[1.0, 2.0]], "x": [float("-inf")]},
+    "unserializable": {"data": [[1.0, 2.0]], "x": object()},
+    "unserializable key": {"data": [[1.0, 2.0]], (1, 2): 0},
+}
+
+
+@pytest.mark.parametrize("case", sorted(WRITER_CASES))
+def test_dump_json_writes_or_rejects_as_json_dumps(case):
+    _assert_writes_like_json_dumps(WRITER_CASES[case])
+
+
+def test_dump_json_reports_a_circular_document_as_json_dumps():
+    doc = {"data": [[1.0, 2.0]]}
+    doc["self"] = [doc]
+    got = _assert_writes_like_json_dumps(doc)
+    assert got == (ValueError, "Circular reference detected")
 
 
 def _outcome(read):
