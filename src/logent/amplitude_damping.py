@@ -35,7 +35,7 @@ import numpy as np
 
 from .channels import (CouplingModel, apply_channel, block_decompose, couple,
                        extract_kraus, off_block_bound)
-from .linalg import DEFAULT_TOL
+from .linalg import DEFAULT_TOL, IDENTITY_TOL, ROUNDING_TOL, _require
 from .states import logical_entropy, purity, validate_density
 
 
@@ -117,8 +117,8 @@ def verify_closed_forms(a: float, b: complex, c: float, theta: float) -> ClosedF
     block_pur = (float(np.vdot(b00, b00).real), float(np.vdot(b11, b11).real))
     projected = 1.0 - sum(block_pur)
     numeric_bound = off_block_bound(blocks)
-    if abs(numeric_bound - cf_bound) > 1e-10:
-        raise AssertionError(f"bound routes disagree: {numeric_bound!r} vs {cf_bound!r}")
+    _require(abs(numeric_bound - cf_bound), IDENTITY_TOL, "bound routes disagree: {1!r} vs {2!r}",
+             numeric_bound, cf_bound, error=AssertionError)
     return ClosedFormReport(
         entropy=entropy,
         closed_form_entropy=cf_entropy,
@@ -127,7 +127,7 @@ def verify_closed_forms(a: float, b: complex, c: float, theta: float) -> ClosedF
         projected_entropy=projected,
         block_purities=block_pur,
         hypothesis_pure=purity(rho) >= 1.0 - DEFAULT_TOL,
-        entropy_matches_closed_form=abs(entropy - cf_entropy) <= 1e-10,
-        bound_holds=entropy <= cf_bound + 1e-12,
-        projected_equals_bound=abs(projected - cf_bound) <= 1e-10,
+        entropy_matches_closed_form=abs(entropy - cf_entropy) <= IDENTITY_TOL,
+        bound_holds=entropy <= cf_bound + ROUNDING_TOL,
+        projected_equals_bound=abs(projected - cf_bound) <= IDENTITY_TOL,
     )

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, as_complex_matrix, hermiticity_defect
+from .linalg import DEFAULT_TOL, NORM_TOL, _require, as_complex_matrix, hermiticity_defect
 from .states import _purities, validate_density
 
 _GRAM_ROWS = 128  # rows of A per block of the Gram-defect walk
@@ -85,9 +85,7 @@ class CouplingModel:
             raise ValueError(f"dimensions must be positive, got dim_s={self.dim_s} dim_e={self.dim_e}")
         if u.shape != (n, n):
             raise ValueError(f"dimension mismatch: unitary is {u.shape}, dims imply {(n, n)}")
-        defect = _gram_defect(u)
-        if not defect <= DEFAULT_TOL:
-            raise ValueError(f"matrix is not unitary: U U† deviates from I by {defect:.3e}")
+        _require(_gram_defect(u), DEFAULT_TOL, "matrix is not unitary: U U† deviates from I by {:.3e}")
         if not 0 <= self.env_init < self.dim_e:
             raise ValueError(f"env_init {self.env_init} outside [0, {self.dim_e})")
         object.__setattr__(self, "unitary", _readonly(u))
@@ -128,8 +126,7 @@ def _kraus(model: CouplingModel) -> tuple[np.ndarray, float]:
     """extract_kraus's operators and the completeness defect they were checked with."""
     ops = _isometry(model).reshape(model.dim_e, model.dim_s, model.dim_s)
     defect = _gram_defect(ops.reshape(-1, model.dim_s).conj().T)  # completeness_defect(ops), not re-coerced
-    if not defect <= DEFAULT_TOL:
-        raise ValueError(f"Kraus completeness violated: sum E†E deviates from I by {defect:.3e}")
+    _require(defect, DEFAULT_TOL, "Kraus completeness violated: sum E†E deviates from I by {:.3e}")
     return ops, defect
 
 
@@ -175,12 +172,8 @@ def block_decompose(joint, dim_s: int, dim_e: int, tol: float = DEFAULT_TOL) -> 
     n = dim_s * dim_e
     if joint.shape != (n, n):
         raise ValueError(f"dimension mismatch: expected {(n, n)}, got {joint.shape}")
-    defect = hermiticity_defect(joint)
-    if not defect <= tol:
-        raise ValueError(f"joint state not Hermitian: defect {defect:.3e}")
-    tr_dev = abs(complex(np.trace(joint)) - 1.0)
-    if not tr_dev <= tol:
-        raise ValueError(f"joint state trace deviates from 1 by {tr_dev:.3e}")
+    _require(hermiticity_defect(joint), tol, "joint state not Hermitian: defect {:.3e}")
+    _require(abs(complex(np.trace(joint)) - 1.0), tol, "joint state trace deviates from 1 by {:.3e}")
     return joint.reshape(dim_e, dim_s, dim_e, dim_s).swapaxes(1, 2)
 
 
@@ -263,8 +256,8 @@ def rotate_env_init(model: CouplingModel, env_state) -> CouplingModel:
         raise ValueError(f"dimension mismatch: env state has {w.shape[0]} entries, dim_e={model.dim_e}")
     with np.errstate(over="ignore"):  # huge entries overflow to inf, as an inf entry does
         norm = float(np.linalg.norm(w))
-    if not abs(norm - 1.0) <= 1e-6:
-        raise ValueError(f"environment state norm {norm:.9g} deviates from 1 by more than 1e-6")
+    _require(abs(norm - 1.0), NORM_TOL,
+             "environment state norm {1:.9g} deviates from 1 by more than 1e-6", norm)
     w = w / norm
     # Complete w to an orthonormal basis, phase-fixed so column 0 is w itself,
     # then swap that column into position env_init.
@@ -306,9 +299,7 @@ def exchange_entropy(rho, model: CouplingModel, tol: float = DEFAULT_TOL) -> Exc
     rho = _on_system(validate_density(rho, tol=tol), model)
     ops = extract_kraus(model)
     w = (ops @ rho).reshape(model.dim_e, -1) @ ops.reshape(model.dim_e, -1).conj().T
-    tr_dev = abs(complex(np.trace(w)) - 1.0)
-    if not tr_dev <= tol:
-        raise ValueError(f"environment state trace deviates from 1 by {tr_dev:.3e}")
+    _require(abs(complex(np.trace(w)) - 1.0), tol, "environment state trace deviates from 1 by {:.3e}")
     p = w.diagonal().real
     bound = float(np.outer(p, p)[~np.eye(model.dim_e, dtype=bool)].sum())
     entropy = 1.0 - float(np.vdot(w, w).real)

@@ -11,11 +11,9 @@ from __future__ import annotations
 import numpy as np
 
 from .channels import _channel
-from .linalg import DEFAULT_TOL
+from .linalg import DEFAULT_TOL, IDENTITY_TOL, ROUNDING_TOL, _require
 from .measurement import _partition_projectors, validate_partition
 from .states import _purities, _rng
-
-_AGREE = 1e-12  # two independently computed routes must agree this tightly
 
 
 def validate_distribution(probs, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -26,8 +24,8 @@ def validate_distribution(probs, tol: float = DEFAULT_TOL) -> np.ndarray:
     if (p < 0).any():
         raise ValueError(f"negative probability {float(p.min()):.3e}")
     total = float(p.sum())
-    if not abs(total - 1.0) <= tol:
-        raise ValueError(f"probabilities sum to {total:.12g}, deviating from 1 beyond {tol:.1e}")
+    _require(abs(total - 1.0), tol, "probabilities sum to {1:.12g}, deviating from 1 beyond {2:.1e}",
+             total, tol)
     return p / total
 
 
@@ -36,8 +34,8 @@ def logical_entropy_dist(probs) -> float:
     p = validate_distribution(probs)
     direct = float(1.0 - np.sum(p * p))
     pairs = float(np.sum(np.outer(p, p)) - np.sum(p * p))
-    if abs(direct - pairs) > _AGREE:
-        raise AssertionError(f"entropy routes disagree: {direct!r} vs {pairs!r}")
+    _require(abs(direct - pairs), ROUNDING_TOL, "entropy routes disagree: {1!r} vs {2!r}", direct, pairs,
+             error=AssertionError)
     return direct
 
 
@@ -52,8 +50,8 @@ def _partition_entropy(p: np.ndarray, blocks: list[list[int]]) -> float:
     q = np.array([p[b].sum() for b in blocks])
     direct = float(1.0 - (q * q).sum())
     cross = _dit_count(p, blocks)
-    if abs(direct - cross) > _AGREE:
-        raise AssertionError(f"partition entropy routes disagree: {direct!r} vs {cross!r}")
+    _require(abs(direct - cross), ROUNDING_TOL, "partition entropy routes disagree: {1!r} vs {2!r}",
+             direct, cross, error=AssertionError)
     return direct
 
 
@@ -105,7 +103,7 @@ def _bridges(probs: np.ndarray, partitions) -> tuple[np.ndarray, np.ndarray]:
     return h_classical, 1.0 - _purities(measured)
 
 
-def bridge_check(probs, blocks, tol: float = 1e-10) -> bool:
+def bridge_check(probs, blocks, tol: float = IDENTITY_TOL) -> bool:
     """Classical partition entropy == quantum post-measurement entropy,
     within tol, for the renormalized distribution."""
     h_classical, h_quantum = bridge_entropies(validate_distribution(probs), blocks)

@@ -26,6 +26,7 @@ from . import amplitude_damping
 from .channels import _kraus, apply_channel, exchange_entropy, extract_kraus, verify_entropy_bound
 from .classical import bridge_entropies, validate_distribution
 from .fuzz import SUITES, run_suite
+from .linalg import DEFAULT_TOL, IDENTITY_TOL
 from .measurement import projectors_from_partition, purity_decomposition
 from .mixing import mixing_bound_report
 from .serialization import (distribution_from_json, dump_json, load_json,
@@ -53,8 +54,8 @@ class _Parser(argparse.ArgumentParser):
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="logent",
                      description="Logical entropy of quantum states under noise couplings.")
-    parser.add_argument("--tol", type=float, default=1e-9,
-                        help="validation tolerance (default 1e-9)")
+    parser.add_argument("--tol", type=float, default=DEFAULT_TOL,
+                        help="validation tolerance in [0, 1) (default 1e-9)")
     parser.add_argument("--seed", type=int, default=42,
                         help="root random seed (default 42)")
     parser.add_argument("--format", choices=("json", "csv", "human"), default="json",
@@ -173,7 +174,7 @@ def _cmd_bound(parser, args) -> tuple[int, dict]:
                "hypothesis_pure": report.hypothesis_pure}
     # the proof steps: entropy <= projected always, projected == bound for pure input
     broken = not report.entropy_le_projected or report.hypothesis_pure and (
-        report.slack < -args.tol or not report.projected_equals_bound)
+        not report.slack >= -args.tol or not report.projected_equals_bound)
     return (EXIT_CONTRADICTION if broken else EXIT_OK), payload
 
 
@@ -222,8 +223,7 @@ def _cmd_exchange(parser, args) -> tuple[int, dict]:
     report = exchange_entropy(rho, model, tol=args.tol)
     payload = {"exchange_entropy": report.exchange_entropy, "bound": report.bound,
                "slack": report.slack}
-    code = EXIT_CONTRADICTION if report.slack < -args.tol else EXIT_OK
-    return code, payload
+    return (EXIT_OK if report.slack >= -args.tol else EXIT_CONTRADICTION), payload
 
 
 def _cmd_prop1(parser, args) -> tuple[int, dict]:
@@ -235,7 +235,7 @@ def _cmd_prop1(parser, args) -> tuple[int, dict]:
     residual = abs(pur - (projected_purity + mass))
     payload = {"purity": pur, "projected_purity": projected_purity,
                "off_block_mass": mass, "identity_residual": residual}
-    return (EXIT_CONTRADICTION if residual > 1e-10 else EXIT_OK), payload
+    return (EXIT_OK if residual <= IDENTITY_TOL else EXIT_CONTRADICTION), payload
 
 
 def _cmd_prop2(parser, args) -> tuple[int, dict]:
@@ -244,7 +244,7 @@ def _cmd_prop2(parser, args) -> tuple[int, dict]:
     payload = {"mixture_entropy": report.mixture_entropy, "bound": report.bound,
                "slack": report.slack, "weight_entropy": report.weight_entropy,
                "orthogonal_support": report.orthogonal_support}
-    return (EXIT_CONTRADICTION if report.slack < -args.tol else EXIT_OK), payload
+    return (EXIT_OK if report.slack >= -args.tol else EXIT_CONTRADICTION), payload
 
 
 def _cmd_bridge(parser, args) -> tuple[int, dict]:
@@ -252,7 +252,7 @@ def _cmd_bridge(parser, args) -> tuple[int, dict]:
     blocks = partition_from_json(load_json(args.partition))
     h_classical, h_quantum = bridge_entropies(probs, blocks)
     diff = abs(h_classical - h_quantum)
-    agree = diff <= 1e-10
+    agree = diff <= IDENTITY_TOL
     payload = {"partition_entropy": h_classical, "post_measurement_entropy": h_quantum,
                "difference": diff, "agree": agree}
     return (EXIT_OK if agree else EXIT_CONTRADICTION), payload
@@ -278,6 +278,8 @@ def main(argv=None) -> int:
     parser = _parser()
     try:
         args = parser.parse_args(argv)
+        if not 0.0 <= args.tol < 1.0:  # a NaN fails too
+            parser.error(f"--tol must be a finite number in [0, 1), got {args.tol!r}")
         code, payload = _COMMANDS[args.command](parser, args)
         _emit(payload if isinstance(payload, str) else _render(payload, args), args)
     except SystemExit as exc:  # a usage error, also parser.error inside a command

@@ -41,7 +41,7 @@ import numpy as np
 
 from .channels import CouplingModel, _channel, verify_entropy_bound
 from .classical import _bridges, random_distribution, random_partition, validate_distribution
-from .linalg import DEFAULT_TOL
+from .linalg import DEFAULT_TOL, IDENTITY_TOL
 from .measurement import (_entropy_gains, _nondecreasing, _partition_projectors, _purity_split,
                           validate_partition)
 from .mixing import _draw_ensemble, _mixing_bounds, _schmidt_pairs
@@ -53,9 +53,7 @@ _MAX_RECORDED = 3  # failing trials kept in the summary, with full inputs
 _MAX_COMPONENTS = 6  # largest ensemble drawn by the mixing suite
 _CHUNK = 128  # most trials drawn and evaluated together
 _CHUNK_BYTES = 1 << 23  # and most bytes of the trials' largest stacked arrays
-_GATE = 1e-9  # slacks and entropy monotonicity may fall this far below zero
-_IDENTITY = 1e-10  # largest residual of an identity
-_GATE_TEXT = np.format_float_scientific(_GATE, trim="-", exp_digits=1)  # "1e-9"
+_GATE_TEXT = np.format_float_scientific(DEFAULT_TOL, trim="-", exp_digits=1)  # "1e-9"
 
 
 def _dim(rng: np.random.Generator, dim_max: int) -> int:
@@ -115,7 +113,7 @@ def _campaign(suite: str, trials: int, seed: int, worst0: float, pick, draw, eva
 
 
 def _slack_check(slack: np.ndarray) -> tuple:
-    return slack >= -_GATE, lambda m: f"slack {float(slack[m])!r} < -{_GATE_TEXT}"
+    return slack >= -DEFAULT_TOL, lambda m: f"slack {float(slack[m])!r} < -{_GATE_TEXT}"
 
 
 def fuzz_bound(trials: int, dim_s_max: int, dim_e_max: int, seed: int) -> dict:
@@ -147,7 +145,7 @@ def fuzz_bound(trials: int, dim_s_max: int, dim_e_max: int, seed: int) -> dict:
              lambda m: f"projected {r[m].projected_entropy!r} != bound {r[m].bound!r}"),
             ([x.entropy_le_projected for x in r],
              lambda m: f"entropy {r[m].entropy!r} > projected {r[m].projected_entropy!r}"),
-            (np.abs(slack - tight) <= _IDENTITY,
+            (np.abs(slack - tight) <= IDENTITY_TOL,
              lambda m: f"slack {float(slack[m])!r} != off-diagonal weight {float(tight[m])!r} of W"),
         ], lambda m: {"state": matrix_to_json(rho[m]), "model": model_to_json(models[m])}
 
@@ -177,14 +175,14 @@ def fuzz_measurement(trials: int, dim_max: int, seed: int) -> dict:
         gain = _entropy_gains(purity, purity_hat)
         values = [np.abs(purity - (projected + mass)), np.abs(gain - mass)]
         checks = [
-            (values[0] <= _IDENTITY, lambda m: f"purity identity residual {float(values[0][m])!r}"),
-            (values[1] <= _IDENTITY,
+            (values[0] <= IDENTITY_TOL, lambda m: f"purity identity residual {float(values[0][m])!r}"),
+            (values[1] <= IDENTITY_TOL,
              lambda m: f"entropy gain {float(gain[m])!r} != off-block weight {float(mass[m])!r}"),
-            (_nondecreasing(purity, purity_hat, _GATE), lambda m: "entropy decreased under measurement"),
+            (_nondecreasing(purity, purity_hat, DEFAULT_TOL), lambda m: "entropy decreased under measurement"),
         ]
         if key[2]:  # only a pure state's projected entropy is the erased off-block weight
             values.append(np.abs((1.0 - projected) - mass))
-            checks.append((values[2] <= _IDENTITY,
+            checks.append((values[2] <= IDENTITY_TOL,
                            lambda m: f"pure-state projected entropy residual {float(values[2][m])!r}"))
         return values, checks, lambda m: {"state": matrix_to_json(rho[m]),
                                           "partition": {"blocks": partitions[m]}}
@@ -229,7 +227,8 @@ def fuzz_schmidt(trials: int, dim_a_max: int, dim_b_max: int, seed: int) -> dict
         psi = _unit(np.array([v for v, in draws]))
         h_a, h_b = _schmidt_pairs(psi, *key)
         diff = np.abs(h_a - h_b)
-        return [diff], [(diff <= _IDENTITY, lambda m: f"reduction entropies differ by {float(diff[m])!r}")], \
+        return [diff], [(diff <= IDENTITY_TOL,
+                         lambda m: f"reduction entropies differ by {float(diff[m])!r}")], \
             lambda m: {"psi": matrix_to_json(psi[m].reshape(-1, 1)), "dims": list(key)}
 
     return _campaign("schmidt", trials, seed, 0.0, max, draw, evaluate)
@@ -247,7 +246,7 @@ def fuzz_bridge(trials: int, n_max: int, seed: int) -> dict:
         probs, partitions = zip(*draws)
         h_classical, h_quantum = _bridges(np.array(probs), partitions)
         diff = np.abs(h_quantum - h_classical)
-        return [diff], [(diff <= _IDENTITY, lambda m: f"bridge residual {float(diff[m])!r}")], \
+        return [diff], [(diff <= IDENTITY_TOL, lambda m: f"bridge residual {float(diff[m])!r}")], \
             lambda m: {"distribution": {"probs": probs[m].tolist()}, "partition": {"blocks": partitions[m]}}
 
     return _campaign("bridge", trials, seed, 0.0, max, draw, evaluate)

@@ -3,12 +3,25 @@
 All matrices are plain 2-D numpy arrays of complex128. Composite systems
 use a fixed ordering convention: the first ("a") factor index varies
 slowest, so the joint index is i_a * dim_b + i_b.
+
+The tolerance policy is four names that every module reads: DEFAULT_TOL,
+IDENTITY_TOL, ROUNDING_TOL and NORM_TOL. A scalar check that raises goes
+through _require, a stacked one through _first, and a NaN fails both.
 """
 from __future__ import annotations
 
 import numpy as np
 
-DEFAULT_TOL = 1e-9
+DEFAULT_TOL = 1e-9  # validation, the CLI's --tol default, and how far a slack may fall below zero
+IDENTITY_TOL = 1e-10  # the largest residual of a guaranteed identity
+ROUNDING_TOL = 1e-12  # two routes to one sum agree, or rounding alone leaves a residue
+NORM_TOL = 1e-6  # how far a state vector's norm may be from 1 and still be renormalized
+
+
+def _require(value: float, tol: float, message: str, *args, error: type = ValueError) -> None:
+    """Raise error(message.format(value, *args)) unless value <= tol, which a NaN value fails."""
+    if not value <= tol:
+        raise error(message.format(value, *args))
 
 
 def as_complex_matrix(m) -> np.ndarray:

@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from .channels import _block_weights, apply_channel
-from .linalg import DEFAULT_TOL, _first, as_complex_matrix
+from .linalg import DEFAULT_TOL, IDENTITY_TOL, ROUNDING_TOL, _first, _require, as_complex_matrix
 from .states import _purities
 
 
@@ -62,7 +62,7 @@ def _partition_projectors(parts, dim: int) -> np.ndarray:
     return ps
 
 
-def validate_projectors(ps, tol: float = 1e-10) -> np.ndarray:
+def validate_projectors(ps, tol: float = IDENTITY_TOL) -> np.ndarray:
     """Check a complete orthogonal projector set: each P Hermitian and
     idempotent, P_i P_j = 0 for i != j, and sum_i P_i = I.
 
@@ -90,8 +90,8 @@ def validate_projectors(ps, tol: float = 1e-10) -> np.ndarray:
         bad = _first(np.abs(ps[i] @ ps[i + 1:]).max(axis=(-2, -1)) <= tol)
         if bad < shaped - 1 - i:
             raise ValueError(f"projectors {i} and {i + 1 + bad} are not orthogonal within {tol:.1e}")
-    if not np.abs(ps.sum(axis=0) - np.eye(dim)).max() <= tol:
-        raise ValueError(f"projectors do not sum to the identity within {tol:.1e}")
+    _require(np.abs(ps.sum(axis=0) - np.eye(dim)).max(), tol,
+             "projectors do not sum to the identity within {1:.1e}", tol)
     return ps
 
 
@@ -127,7 +127,7 @@ def _purity_split(rho: np.ndarray, ps: np.ndarray) -> tuple[np.ndarray, np.ndarr
     w = _block_weights(rho, ps)
     # one C-ordered row per state, so each sum runs as it does for a single state
     pair = w[..., ~np.eye(ps.shape[-3], dtype=bool)].copy().sum(axis=-1)
-    bad = _first(~(np.abs(pair.imag) > 1e-12))
+    bad = _first(~(np.abs(pair.imag) > ROUNDING_TOL))
     if bad < pair.size:
         raise ValueError(f"off-block pair sum has imaginary residue {pair.reshape(-1)[bad].imag:.3e}; "
                          "input not Hermitian")

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classical import validate_distribution
-from .linalg import DEFAULT_TOL, _dots, _partial_trace, partial_trace
+from .linalg import DEFAULT_TOL, IDENTITY_TOL, _dots, _partial_trace, _require, partial_trace
 from .measurement import project, projectors_from_partition
 from .states import (_pure_densities, _purities, _random_states, _rng, density_from_pure,
                      logical_entropy, validate_density)
@@ -91,7 +91,7 @@ class MixReport:
     orthogonal_support: bool
 
 
-def orthogonal_support(ensemble: Ensemble, tol: float = 1e-10) -> bool:
+def orthogonal_support(ensemble: Ensemble, tol: float = IDENTITY_TOL) -> bool:
     """Whether all component pairs overlap less than tol in tr(rho_i rho_j). Each member is
     compared with all its successors at once, so no array outgrows the ensemble."""
     f = np.array(ensemble.states).reshape(len(ensemble), -1)
@@ -140,8 +140,8 @@ def purify_ensemble(ensemble: Ensemble, tol: float = DEFAULT_TOL) -> np.ndarray:
     tops = []
     for i, s in enumerate(ensemble.states):
         evals, evecs = np.linalg.eigh(s)
-        if 1.0 - float(evals[-1]) > tol:
-            raise ValueError(f"ensemble member {i} is not pure: largest eigenvalue {float(evals[-1]):.12g}")
+        _require(1.0 - float(evals[-1]), tol, "ensemble member {1} is not pure: largest eigenvalue {2:.12g}",
+                 i, float(evals[-1]))
         tops.append(evecs[:, -1])
     # Entry (s, i) of the S x B coefficient matrix is sqrt(p_i) psi_i[s].
     return (np.stack(tops, axis=1) * np.sqrt(ensemble.weights)).reshape(-1)

@@ -58,6 +58,15 @@ def _float_list(values: list, name: str) -> np.ndarray:
     return out
 
 
+def _json_object(obj, kind: str, *keys: str) -> None:
+    """Check that the kind's object is a JSON object holding every key."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{kind} object must be a JSON object, got {type(obj).__name__}")
+    for key in keys:
+        if key not in obj:
+            raise ValueError(f"{kind} object missing key {key!r}")
+
+
 def matrix_to_json(m) -> dict:
     m = as_complex_matrix(m)
     rows, cols = m.shape
@@ -65,11 +74,7 @@ def matrix_to_json(m) -> dict:
 
 
 def matrix_from_json(obj) -> np.ndarray:
-    if not isinstance(obj, dict):
-        raise ValueError(f"matrix object must be a JSON object, got {type(obj).__name__}")
-    for key in ("rows", "cols", "data"):
-        if key not in obj:
-            raise ValueError(f"matrix object missing key {key!r}")
+    _json_object(obj, "matrix", "rows", "cols", "data")
     rows, cols = obj["rows"], obj["cols"]
     if (not all(isinstance(v, int) and not isinstance(v, bool) for v in (rows, cols))
             or rows < 1 or cols < 1):
@@ -104,11 +109,7 @@ def model_to_json(model: CouplingModel) -> dict:
 
 
 def model_from_json(obj) -> CouplingModel:
-    if not isinstance(obj, dict):
-        raise ValueError(f"model object must be a JSON object, got {type(obj).__name__}")
-    for key in ("unitary", "dim_s", "dim_e"):
-        if key not in obj:
-            raise ValueError(f"model object missing key {key!r}")
+    _json_object(obj, "model", "unitary", "dim_s", "dim_e")
     dim_s, dim_e = obj["dim_s"], obj["dim_e"]
     env_init = obj.get("env_init", 0)
     for name, v in (("dim_s", dim_s), ("dim_e", dim_e), ("env_init", env_init)):
@@ -131,11 +132,7 @@ def partition_from_json(obj) -> list[list[int]]:
 
 
 def ensemble_from_json(obj) -> Ensemble:
-    if not isinstance(obj, dict):
-        raise ValueError(f"ensemble object must be a JSON object, got {type(obj).__name__}")
-    for key in ("weights", "states"):
-        if key not in obj:
-            raise ValueError(f"ensemble object missing key {key!r}")
+    _json_object(obj, "ensemble", "weights", "states")
     weights = obj["weights"]
     states = obj["states"]
     if not isinstance(weights, list) or not isinstance(states, list):

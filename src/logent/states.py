@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, _dots, _first, as_complex_matrix
+from .linalg import DEFAULT_TOL, NORM_TOL, _dots, _first, as_complex_matrix
 
 
 class DensityValidationError(ValueError):
@@ -83,7 +83,7 @@ def density_from_pure(psi) -> np.ndarray:
 def _pure_densities(v: np.ndarray) -> np.ndarray:
     """density_from_pure along the last axis of v; the first failing vector raises."""
     norm = _norms(v)
-    bad = _first(np.abs(norm - 1.0) <= 1e-6)
+    bad = _first(np.abs(norm - 1.0) <= NORM_TOL)
     if bad < norm.size:
         raise ValueError(f"state vector norm {norm.reshape(-1)[bad]:.9g} deviates from 1 by more than 1e-6")
     v = v / norm[..., None]

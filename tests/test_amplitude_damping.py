@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import logent.amplitude_damping
 from logent.amplitude_damping import (closed_form_block_purities,
                                       closed_form_bound, closed_form_purity,
                                       coupling_model, verify_closed_forms)
@@ -107,3 +108,10 @@ class TestVerifyClosedForms:
         expected = closed_form_block_purities(a, b, c, 1.3)
         assert abs(report.block_purities[0] - expected[0]) < 1e-10
         assert abs(report.block_purities[1] - expected[1]) < 1e-10
+
+    @pytest.mark.parametrize("offset", [1e-9, float("nan")])
+    def test_bound_routes_that_disagree_raise(self, monkeypatch, offset):
+        real = logent.amplitude_damping.off_block_bound
+        monkeypatch.setattr(logent.amplitude_damping, "off_block_bound", lambda blocks: real(blocks) + offset)
+        with pytest.raises(AssertionError, match="^bound routes disagree: "):
+            verify_closed_forms(0.5, 0.5, 0.5, 0.7)

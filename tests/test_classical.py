@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import logent.classical
 from logent.classical import (bridge_check, dit_count, logical_entropy_dist,
                               partition_entropy, random_distribution,
                               random_partition, validate_distribution)
@@ -19,6 +20,14 @@ def test_validate_distribution_errors():
         validate_distribution([])
     with pytest.raises(ValueError, match="sum"):
         validate_distribution([np.nan, 1.0])
+
+
+@pytest.mark.parametrize("offset", [1e-11, float("nan")])
+def test_route_disagreement_raises_and_a_nan_disagrees(monkeypatch, offset):
+    real = logent.classical._dit_count
+    monkeypatch.setattr(logent.classical, "_dit_count", lambda p, blocks: real(p, blocks) + offset)
+    with pytest.raises(AssertionError, match="^partition entropy routes disagree: 0.5 vs "):
+        partition_entropy([0.2, 0.3, 0.5], [[0, 1], [2]])
 
 
 def test_validate_distribution_renormalizes_exactly():

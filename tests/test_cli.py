@@ -14,7 +14,8 @@ from logent.cli import build_parser, main
 from logent import serialization
 from logent.serialization import dump_json, matrix_to_json, model_to_json
 from logent.states import random_density, random_unitary
-from logent.channels import CouplingModel
+from logent.channels import CouplingModel, ExchangeReport
+from logent.mixing import MixReport
 
 
 def write_json(path, obj):
@@ -306,6 +307,20 @@ class TestUsageErrors:
         assert [run_cli(capsys, *argv) for argv in calls] == shared
         assert build_parser() is not build_parser()
 
+    @pytest.mark.parametrize("tol,code", [("inf", 64), ("nan", 64), ("-1", 64), ("1", 64), ("1e300", 64),
+                                          ("0", 1), ("0.5", 1)])
+    def test_tol_outside_zero_to_one_is_a_usage_error(self, capsys, tmp_path, tol, code):
+        # an infinite tol would pass this state as pure, and a negative or NaN one blame the state;
+        # with a tolerance in range the state is validated, and its eigenvalue -1 fails it
+        neg = write_json(tmp_path / "neg.json", matrix_to_json(np.diag([2.0, -1.0]).astype(complex)))
+        got, out, err = run_cli(capsys, "--tol", tol, "bound", "--state", neg,
+                                "--channel", "amplitude-damping", "--theta", "0.5")
+        assert (got, out) == (code, "")
+        if code == 64:
+            assert err.endswith(f"logent: error: --tol must be a finite number in [0, 1), got {float(tol)!r}\n")
+        else:
+            assert err.startswith("logent: error: not positive semidefinite")
+
     def test_model_and_channel_conflict(self, capsys, tmp_path, plus_state):
         model = CouplingModel(random_unitary(4, 1), dim_s=2, dim_e=2)
         model_file = write_json(tmp_path / "m.json", model_to_json(model))
@@ -420,6 +435,24 @@ class TestFormats:
         assert code == 0
         assert out.splitlines()[0] == "key,value"
         assert any(line.startswith("purity,") for line in out.splitlines())
+
+    @pytest.mark.parametrize("fmt", ["json", "csv", "human"])
+    @pytest.mark.parametrize("command", ["exchange", "prop1", "prop2"])
+    def test_nan_report_never_exits_0(self, capsys, monkeypatch, tmp_path, plus_state, command, fmt):
+        # csv and human print the NaN and fail the verdict; json refuses to write a NaN
+        nan = float("nan")
+        fake = {"exchange": ("exchange_entropy", lambda rho, model, tol: ExchangeReport(nan, nan, nan, 1)),
+                "prop1": ("purity_decomposition", lambda rho, ps: (nan, nan)),
+                "prop2": ("mixing_bound_report", lambda ens: MixReport(nan, nan, nan, nan, False))}[command]
+        monkeypatch.setattr(logent.cli, *fake)
+        part = write_json(tmp_path / "part.json", {"blocks": [[0], [1]]})
+        ens = write_json(tmp_path / "ens.json", {"weights": [1.0], "states": [matrix_to_json(np.eye(2) / 2)]})
+        argv = {"exchange": ("--state", plus_state, "--channel", "amplitude-damping", "--theta", "0.3"),
+                "prop1": ("--state", plus_state, "--partition", part),
+                "prop2": ("--ensemble", ens)}[command]
+        code, out, _ = run_cli(capsys, "--format", fmt, command, *argv)
+        assert code == (1 if fmt == "json" else 2)
+        assert ("nan" in out) == (fmt != "json")
 
     def test_json_floats_round_trip_exactly(self, capsys, tmp_path):
         rho = random_density(3, 123)

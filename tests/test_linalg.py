@@ -3,7 +3,7 @@ import numpy.testing as npt
 import pytest
 from hypothesis import given, strategies as st
 
-from logent.linalg import hermiticity_defect, partial_trace
+from logent.linalg import _require, hermiticity_defect, partial_trace
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -38,3 +38,10 @@ def test_partial_trace_rejects_bad_dims_and_selector():
 def test_hermiticity_defect_values():
     assert hermiticity_defect(np.eye(3)) == 0.0
     assert abs(hermiticity_defect(np.array([[0, 0.3], [0.1, 0]])) - 0.2) < 1e-15
+
+def test_require_fails_a_nan_and_formats_only_on_failure():
+    _require(1e-9, 1e-9, "{2} has no argument to format")  # passes at equality, message untouched
+    with pytest.raises(ValueError, match=r"^defect 2\.000e-09 of 7$"):
+        _require(2e-9, 1e-9, "defect {0:.3e} of {1}", 7)
+    with pytest.raises(AssertionError, match="^nan$"):
+        _require(float("nan"), 1.0, "{!r}", error=AssertionError)
