@@ -14,14 +14,14 @@ from .channels import (BoundReport, CouplingModel, ExchangeReport, apply_channel
                        extract_kraus, off_block_bound, rotate_env_init,
                        verify_entropy_bound)
 from .classical import (bridge_check, bridge_entropies, dit_count, logical_entropy_dist,
-                        partition_entropy, validate_distribution)
+                        partition_entropy, validate_distribution, weight_entropy)
 from .linalg import partial_trace
 from .measurement import (entropy_gain, entropy_nondecreasing, project,
                           projectors_from_partition, purity_decomposition,
                           validate_partition, validate_projectors)
 from .mixing import (Ensemble, MixReport, mix, mixing_bound_report, purify,
                      purify_ensemble, purification_chain_check,
-                     schmidt_entropy_pair, weight_entropy)
+                     schmidt_entropy_pair)
 from .states import (DensityValidationError, NonHermitianError, NonPositiveError,
                      TraceError, density_from_pure, logical_entropy, purity,
                      random_density, random_pure_state, random_unitary,
@@ -36,14 +36,13 @@ __all__ = [
     "block_decompose", "completeness_defect", "couple", "exchange_entropy",
     "extract_kraus", "off_block_bound", "rotate_env_init", "verify_entropy_bound",
     "bridge_check", "bridge_entropies", "dit_count", "logical_entropy_dist",
-    "partition_entropy", "validate_distribution",
+    "partition_entropy", "validate_distribution", "weight_entropy",
     "partial_trace",
     "entropy_gain", "entropy_nondecreasing", "project",
     "projectors_from_partition", "purity_decomposition", "validate_partition",
     "validate_projectors",
     "Ensemble", "MixReport", "mix", "mixing_bound_report", "purify",
     "purify_ensemble", "purification_chain_check", "schmidt_entropy_pair",
-    "weight_entropy",
     "DensityValidationError", "NonHermitianError", "NonPositiveError",
     "TraceError", "density_from_pure", "logical_entropy", "purity",
     "random_density", "random_pure_state", "random_unitary", "validate_density",

@@ -21,10 +21,13 @@ closed form in (a, b, c, theta):
     projected blocks  tr(B00^2) = a^2 + 2|b|^2 cos^2 + cos^4 c^2,
                       tr(B11^2) = sin^4 c^2
 
-verify_closed_forms recomputes all of them numerically through the
-generic channel machinery and reports the comparison; for pure input the
-bound inequality and the projected-entropy equality must hold on top of
-the always-valid purity identity.
+The private _closed_forms is their one owner: it checks the state once
+and evaluates every expression above, and the closed_form_* functions
+read it. verify_closed_forms calls it once and recomputes all of them
+numerically through the generic channel machinery, which stays the
+independent oracle; for pure input the bound inequality and the
+projected-entropy equality must hold on top of the always-valid purity
+identity.
 """
 from __future__ import annotations
 
@@ -51,35 +54,31 @@ def coupling_model(theta: float) -> CouplingModel:
     return CouplingModel(u, dim_s=2, dim_e=2, env_init=0)
 
 
-def _abc(a: float, b: complex, c: float) -> np.ndarray:
-    rho = np.array([[a, b], [np.conj(b), c]], dtype=np.complex128)
-    return validate_density(rho)
+def _closed_forms(a: float, b: complex, c: float, theta: float) -> tuple[np.ndarray, float, float, tuple]:
+    """The one closed-form evaluation: the checked state [[a, b], [conj(b), c]], the off-block
+    bound, the output purity and the two block purities, each as the module docstring writes it."""
+    rho = validate_density(np.array([[a, b], [np.conj(b), c]], dtype=np.complex128))
+    st2 = sin(theta) ** 2
+    ct2 = cos(theta) ** 2
+    b2 = abs(b) ** 2
+    bound = 2.0 * b2 * st2 + 2.0 * ct2 * st2 * c ** 2
+    out_purity = a ** 2 + st2 ** 2 * c ** 2 + 2.0 * a * c * st2 + 2.0 * b2 * ct2 + ct2 ** 2 * c ** 2
+    return rho, bound, out_purity, (a ** 2 + 2.0 * b2 * ct2 + ct2 ** 2 * c ** 2, st2 ** 2 * c ** 2)
 
 
 def closed_form_bound(a: float, b: complex, c: float, theta: float) -> float:
     """Off-block bound of the damped output, in closed form."""
-    _abc(a, b, c)
-    st2 = sin(theta) ** 2
-    ct2 = cos(theta) ** 2
-    return 2.0 * abs(b) ** 2 * st2 + 2.0 * ct2 * st2 * c ** 2
+    return _closed_forms(a, b, c, theta)[1]
 
 
 def closed_form_purity(a: float, b: complex, c: float, theta: float) -> float:
     """tr(rho_out^2) of the damped output, in closed form."""
-    _abc(a, b, c)
-    st2 = sin(theta) ** 2
-    ct2 = cos(theta) ** 2
-    return (a ** 2 + st2 ** 2 * c ** 2 + 2.0 * a * c * st2
-            + 2.0 * abs(b) ** 2 * ct2 + ct2 ** 2 * c ** 2)
+    return _closed_forms(a, b, c, theta)[2]
 
 
 def closed_form_block_purities(a: float, b: complex, c: float, theta: float) -> tuple[float, float]:
     """tr(B00^2) and tr(B11^2) of the coupled state's diagonal blocks."""
-    _abc(a, b, c)
-    st2 = sin(theta) ** 2
-    ct2 = cos(theta) ** 2
-    return (a ** 2 + 2.0 * abs(b) ** 2 * ct2 + ct2 ** 2 * c ** 2,
-            st2 ** 2 * c ** 2)
+    return _closed_forms(a, b, c, theta)[3]
 
 
 @dataclass(frozen=True)
@@ -106,12 +105,11 @@ class ClosedFormReport:
 
 def verify_closed_forms(a: float, b: complex, c: float, theta: float) -> ClosedFormReport:
     """Drive the generic machinery and compare with every closed form."""
-    rho = _abc(a, b, c)
+    rho, cf_bound, cf_purity, _ = _closed_forms(a, b, c, theta)
     model = coupling_model(theta)
     out = apply_channel(rho, extract_kraus(model))
     entropy = logical_entropy(out)
-    cf_entropy = 1.0 - closed_form_purity(a, b, c, theta)
-    cf_bound = closed_form_bound(a, b, c, theta)
+    cf_entropy = 1.0 - cf_purity
     blocks = block_decompose(couple(rho, model), 2, 2)
     b00, b11 = blocks[0, 0], blocks[1, 1]
     block_pur = (float(np.vdot(b00, b00).real), float(np.vdot(b11, b11).real))

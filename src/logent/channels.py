@@ -68,9 +68,9 @@ class CouplingModel:
         (dim_s*dim_e) x (dim_s*dim_e) unitary on E (x) S, environment-major; max |U U† - I|
         <= DEFAULT_TOL, read off the block upper triangle of U U† in ~n^3 / 2 multiply-adds.
     dim_s, dim_e : int
-        System and environment dimensions.
+        System and environment dimensions, each an int or np.integer (not a bool).
     env_init : int
-        Environment initial basis state index, default 0.
+        Environment initial basis state index, default 0; an integer as the dimensions are.
     """
 
     unitary: np.ndarray
@@ -79,6 +79,9 @@ class CouplingModel:
     env_init: int = 0
 
     def __post_init__(self):
+        for name, v in (("dim_s", self.dim_s), ("dim_e", self.dim_e), ("env_init", self.env_init)):
+            if isinstance(v, bool) or not isinstance(v, (int, np.integer)):  # np.bool_ is no np.integer
+                raise ValueError(f"model {name} must be an integer, got {v!r}")
         u = as_complex_matrix(self.unitary)
         n = self.dim_s * self.dim_e
         if self.dim_s < 1 or self.dim_e < 1:

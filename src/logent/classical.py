@@ -5,6 +5,10 @@ coarse-graining by a partition counts only draws landing in different
 blocks. The quantum connection: encode p in the amplitudes of a pure
 state and measure the partition's projectors, and the post-measurement
 logical entropy is exactly the partition entropy.
+
+weight_entropy owns 1 - sum p_i^2: both direct routes here and the mixing
+module call it, and pair counting and dit counting stay the independent
+oracles the direct routes are checked against.
 """
 from __future__ import annotations
 
@@ -29,10 +33,16 @@ def validate_distribution(probs, tol: float = DEFAULT_TOL) -> np.ndarray:
     return p / total
 
 
+def weight_entropy(weights) -> float:
+    """1 - sum p_i^2 of the weights as given, unchecked: the one place the sum is written."""
+    w = np.asarray(weights, dtype=float)
+    return float(1.0 - (w * w).sum())
+
+
 def logical_entropy_dist(probs) -> float:
     """1 - sum p_i^2, cross-checked against the pair-counting route."""
     p = validate_distribution(probs)
-    direct = float(1.0 - np.sum(p * p))
+    direct = weight_entropy(p)
     pairs = float(np.sum(np.outer(p, p)) - np.sum(p * p))
     _require(abs(direct - pairs), ROUNDING_TOL, "entropy routes disagree: {1!r} vs {2!r}", direct, pairs,
              error=AssertionError)
@@ -47,8 +57,7 @@ def partition_entropy(probs, blocks) -> float:
 
 def _partition_entropy(p: np.ndarray, blocks: list[list[int]]) -> float:
     """partition_entropy of a checked distribution and partition."""
-    q = np.array([p[b].sum() for b in blocks])
-    direct = float(1.0 - (q * q).sum())
+    direct = weight_entropy([p[b].sum() for b in blocks])
     cross = _dit_count(p, blocks)
     _require(abs(direct - cross), ROUNDING_TOL, "partition entropy routes disagree: {1!r} vs {2!r}",
              direct, cross, error=AssertionError)

@@ -63,6 +63,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--output", help="write the result to this file instead of stdout")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def command(name, run, help):  # each subcommand carries the handler main calls
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(run=run)
+        return p
+
     def add_state(p):
         p.add_argument("--state", required=True, help="density matrix JSON file")
 
@@ -71,46 +76,46 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--channel", choices=CHANNELS, help="named coupling instead of --model")
         p.add_argument("--theta", type=float, help="decay angle for --channel")
 
-    p = sub.add_parser("entropy", help="logical entropy and purity of a state")
+    p = command("entropy", _cmd_entropy, "logical entropy and purity of a state")
     add_state(p)
 
-    p = sub.add_parser("bound", help="off-block bound vs output entropy for one coupling")
-    add_state(p)
-    add_model_source(p)
-
-    p = sub.add_parser("apply", help="push a state through a coupling's channel")
+    p = command("bound", _cmd_bound, "off-block bound vs output entropy for one coupling")
     add_state(p)
     add_model_source(p)
 
-    p = sub.add_parser("kraus", help="extract the Kraus operators of a coupling")
+    p = command("apply", _cmd_apply, "push a state through a coupling's channel")
+    add_state(p)
     add_model_source(p)
 
-    p = sub.add_parser("sweep", help="entropy/bound sweep over the decay angle (CSV)")
+    p = command("kraus", _cmd_kraus, "extract the Kraus operators of a coupling")
+    add_model_source(p)
+
+    p = command("sweep", _cmd_sweep, "entropy/bound sweep over the decay angle (CSV)")
     add_state(p)
     p.add_argument("--channel", choices=CHANNELS, default="amplitude-damping")
     p.add_argument("--theta-start", type=float, default=0.0)
     p.add_argument("--theta-end", type=float, default=pi)
     p.add_argument("--steps", type=int, default=64)
 
-    p = sub.add_parser("fuzz", help="randomized verification campaigns")
+    p = command("fuzz", _cmd_fuzz, "randomized verification campaigns")
     p.add_argument("--suite", choices=SUITES + ("all",), default="all")
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--dim-s", type=int, default=6,
                    help="primary dimension bound; trials draw from 2..max (1 stays 1)")
     p.add_argument("--dim-e", type=int, default=4, help="secondary dimension bound")
 
-    p = sub.add_parser("exchange", help="entropy exchanged with the environment")
+    p = command("exchange", _cmd_exchange, "entropy exchanged with the environment")
     add_state(p)
     add_model_source(p)
 
-    p = sub.add_parser("prop1", help="purity split under a basis-aligned measurement")
+    p = command("prop1", _cmd_prop1, "purity split under a basis-aligned measurement")
     add_state(p)
     p.add_argument("--partition", required=True, help="partition JSON file")
 
-    p = sub.add_parser("prop2", help="mixing bound for an ensemble")
+    p = command("prop2", _cmd_prop2, "mixing bound for an ensemble")
     p.add_argument("--ensemble", required=True, help="ensemble JSON file")
 
-    p = sub.add_parser("bridge", help="classical partition entropy vs quantum measurement")
+    p = command("bridge", _cmd_bridge, "classical partition entropy vs quantum measurement")
     p.add_argument("--dist", required=True, help="distribution JSON file")
     p.add_argument("--partition", required=True, help="partition JSON file")
 
@@ -213,6 +218,9 @@ def _cmd_sweep(parser, args) -> tuple[int, str]:
 def _cmd_fuzz(parser, args) -> tuple[int, dict]:
     if args.trials < 0:
         parser.error("--trials must be >= 0")
+    for flag, bound in (("--dim-s", args.dim_s), ("--dim-e", args.dim_e)):
+        if bound < 1:  # every suite, also one that ignores the bound
+            parser.error(f"{flag} must be >= 1, got {bound}")
     summary = run_suite(args.suite, args.trials, args.dim_s, args.dim_e, args.seed)
     return (EXIT_OK if summary["failures"] == 0 else EXIT_FAILURE), summary
 
@@ -258,18 +266,6 @@ def _cmd_bridge(parser, args) -> tuple[int, dict]:
     return (EXIT_OK if agree else EXIT_CONTRADICTION), payload
 
 
-_COMMANDS = {
-    "entropy": _cmd_entropy,
-    "bound": _cmd_bound,
-    "apply": _cmd_apply,
-    "kraus": _cmd_kraus,
-    "sweep": _cmd_sweep,
-    "fuzz": _cmd_fuzz,
-    "exchange": _cmd_exchange,
-    "prop1": _cmd_prop1,
-    "prop2": _cmd_prop2,
-    "bridge": _cmd_bridge,
-}
 _parser = functools.cache(build_parser)  # parse_args leaves a parser as it found it
 
 
@@ -280,7 +276,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if not 0.0 <= args.tol < 1.0:  # a NaN fails too
             parser.error(f"--tol must be a finite number in [0, 1), got {args.tol!r}")
-        code, payload = _COMMANDS[args.command](parser, args)
+        code, payload = args.run(parser, args)
         _emit(payload if isinstance(payload, str) else _render(payload, args), args)
     except SystemExit as exc:  # a usage error, also parser.error inside a command
         return int(exc.code or 0)

@@ -127,7 +127,7 @@ def _purity_split(rho: np.ndarray, ps: np.ndarray) -> tuple[np.ndarray, np.ndarr
     w = _block_weights(rho, ps)
     # one C-ordered row per state, so each sum runs as it does for a single state
     pair = w[..., ~np.eye(ps.shape[-3], dtype=bool)].copy().sum(axis=-1)
-    bad = _first(~(np.abs(pair.imag) > ROUNDING_TOL))
+    bad = _first(np.abs(pair.imag) <= ROUNDING_TOL)  # a NaN residue fails
     if bad < pair.size:
         raise ValueError(f"off-block pair sum has imaginary residue {pair.reshape(-1)[bad].imag:.3e}; "
                          "input not Hermitian")

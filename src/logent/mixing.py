@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classical import validate_distribution
+from .classical import validate_distribution, weight_entropy
 from .linalg import DEFAULT_TOL, IDENTITY_TOL, _dots, _partial_trace, _require, partial_trace
 from .measurement import project, projectors_from_partition
 from .states import (_pure_densities, _purities, _random_states, _rng, density_from_pure,
@@ -68,12 +68,6 @@ def _running_sums(terms: np.ndarray) -> np.ndarray:
     for row in terms.swapaxes(0, 1):
         out += row
     return out
-
-
-def weight_entropy(weights) -> float:
-    """1 - sum p_i^2, the logical entropy of the weight distribution."""
-    w = np.asarray(weights, dtype=float)
-    return float(1.0 - (w * w).sum())
 
 
 @dataclass(frozen=True)

@@ -109,13 +109,9 @@ def model_to_json(model: CouplingModel) -> dict:
 
 
 def model_from_json(obj) -> CouplingModel:
-    _json_object(obj, "model", "unitary", "dim_s", "dim_e")
-    dim_s, dim_e = obj["dim_s"], obj["dim_e"]
-    env_init = obj.get("env_init", 0)
-    for name, v in (("dim_s", dim_s), ("dim_e", dim_e), ("env_init", env_init)):
-        if not isinstance(v, int) or isinstance(v, bool):
-            raise ValueError(f"model {name} must be an integer, got {v!r}")
-    return CouplingModel(matrix_from_json(obj["unitary"]), dim_s=dim_s, dim_e=dim_e, env_init=env_init)
+    _json_object(obj, "model", "unitary", "dim_s", "dim_e")  # CouplingModel checks the integers
+    return CouplingModel(matrix_from_json(obj["unitary"]), dim_s=obj["dim_s"], dim_e=obj["dim_e"],
+                         env_init=obj.get("env_init", 0))
 
 
 def partition_from_json(obj) -> list[list[int]]:

@@ -7,7 +7,7 @@ import logent.amplitude_damping
 from logent.amplitude_damping import (closed_form_block_purities,
                                       closed_form_bound, closed_form_purity,
                                       coupling_model, verify_closed_forms)
-from logent.states import purity, random_density, random_pure_state
+from logent.states import purity, random_density, random_pure_state, validate_density
 
 THETAS = [0.0, 0.3, np.pi / 4, 1.1, np.pi / 2, 2.0, np.pi]
 
@@ -83,6 +83,19 @@ class TestVerifyClosedForms:
                 assert report.projected_equals_bound
                 assert abs(report.entropy - report.closed_form_entropy) < 1e-10
                 assert abs(report.numeric_bound - report.bound) < 1e-10
+
+    def test_state_is_validated_once(self, monkeypatch):
+        calls = []
+
+        def counted(rho, *args, **kwargs):
+            calls.append(rho)
+            return validate_density(rho, *args, **kwargs)
+
+        monkeypatch.setattr(logent.amplitude_damping, "validate_density", counted)
+        report = verify_closed_forms(0.5, 0.5, 0.5, np.pi / 4)
+        assert len(calls) == 1
+        assert (report.bound, report.closed_form_entropy) == (closed_form_bound(0.5, 0.5, 0.5, np.pi / 4),
+                                                               1.0 - closed_form_purity(0.5, 0.5, 0.5, np.pi / 4))
 
     def test_mixed_input_entropy_still_matches(self):
         # the purity identity holds for any input, pure or not

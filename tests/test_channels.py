@@ -45,6 +45,18 @@ class TestCouplingModel:
         with pytest.raises(ValueError, match="env_init"):
             CouplingModel(np.eye(4), dim_s=2, dim_e=2, env_init=2)
 
+    @pytest.mark.parametrize("field", ["dim_s", "dim_e", "env_init"])
+    @pytest.mark.parametrize("value", [2.0, 1.0, True, False, np.True_, "2", None])
+    def test_integer_fields_are_checked_before_they_are_used(self, field, value):
+        # 2.0 would otherwise reach the Kraus slice and fail there with a TypeError, True pass as 1
+        fields = {"dim_s": 2, "dim_e": 2, "env_init": 0, field: value}
+        with pytest.raises(ValueError, match=f"^model {field} must be an integer, got {value!r}$"):
+            CouplingModel(np.eye(4), **fields)
+
+    def test_numpy_integer_fields_are_integers(self):
+        model = CouplingModel(np.eye(4), dim_s=np.int64(2), dim_e=np.int32(2), env_init=np.uint8(1))
+        assert extract_kraus(model).shape == (2, 2, 2)
+
     def test_rejects_nan(self):
         u = np.eye(4, dtype=complex)
         u[1, 1] = np.nan

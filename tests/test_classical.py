@@ -11,6 +11,23 @@ from logent.measurement import validate_partition
 from logent.states import logical_entropy
 
 
+def test_weight_entropy_is_the_one_direct_route(monkeypatch):
+    weight_entropy = logent.classical.weight_entropy
+    assert logent.weight_entropy is logent.mixing.weight_entropy is weight_entropy
+    p = np.array([0.1, 0.2, 0.3, 0.4])
+    blocks = [[0, 3], [1, 2]]
+    q = np.array([p[b].sum() for b in blocks])
+    want = (float(1.0 - np.sum(p * p)), float(1.0 - (q * q).sum()))  # the routes as once written inline
+    seen = []
+
+    def counted(w):
+        seen.append(weight_entropy(w))
+        return seen[-1]
+
+    monkeypatch.setattr(logent.classical, "weight_entropy", counted)
+    assert (logical_entropy_dist(p), partition_entropy(p, blocks)) == want == tuple(seen)
+
+
 def test_validate_distribution_errors():
     with pytest.raises(ValueError, match="negative"):
         validate_distribution([1.1, -0.1])

@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import json
 import shlex
@@ -253,6 +254,17 @@ class TestFuzz:
         assert payload["failures"] == 0
         assert payload["seed"] == 5
 
+    @pytest.mark.parametrize("argv,message", [
+        (("--dim-s", "0"), "--dim-s must be >= 1, got 0"),
+        (("--suite", "theorem", "--dim-e", "-2"), "--dim-e must be >= 1, got -2"),
+        (("--suite", "prop1", "--dim-e", "0"), "--dim-e must be >= 1, got 0"),  # prop1 ignores dim-e
+        (("--trials", "-1", "--dim-s", "0"), "--trials must be >= 0"),
+    ])
+    def test_dimension_bound_below_one_is_a_usage_error(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, "fuzz", "--trials", "3", *argv)
+        assert (code, out) == (64, "")
+        assert err.endswith(f"logent: error: {message}\n")
+
     def test_deterministic_output(self, capsys):
         args = ("--seed", "5", "fuzz", "--suite", "all", "--trials", "6",
                 "--dim-s", "4", "--dim-e", "3")
@@ -306,6 +318,12 @@ class TestUsageErrors:
         monkeypatch.setattr(logent.cli, "_parser", build_parser)
         assert [run_cli(capsys, *argv) for argv in calls] == shared
         assert build_parser() is not build_parser()
+
+    def test_every_subcommand_carries_its_handler(self):
+        sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        handlers = {name: p.get_default("run") for name, p in sub.choices.items()}
+        assert handlers == {name: getattr(logent.cli, f"_cmd_{name}") for name in handlers}
+        assert len(handlers) == 10 and sub.dest == "command"
 
     @pytest.mark.parametrize("tol,code", [("inf", 64), ("nan", 64), ("-1", 64), ("1", 64), ("1e300", 64),
                                           ("0", 1), ("0.5", 1)])

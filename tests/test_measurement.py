@@ -173,11 +173,14 @@ def test_validate_projectors_returns_stack_and_reports_in_order():
         validate_projectors([np.ones((2, 3))])
 
 
-def test_purity_decomposition_imaginary_residue_is_hard_error():
+@pytest.mark.parametrize("rho,residue", [
+    (np.array([[0.5, 1j], [0.5, 0.5]], dtype=complex), "1.000e+00"),  # not Hermitian
+    (np.full((2, 2), np.nan), "nan"),  # fails the gate |imag| <= tol, where ~(|imag| > tol) let it through
+])
+def test_purity_decomposition_imaginary_residue_is_hard_error(rho, residue):
     ps = projectors_from_partition([[0], [1]], 2)
-    skew = np.array([[0.5, 1j], [0.5, 0.5]], dtype=complex)  # not Hermitian
-    with pytest.raises(ValueError, match="imaginary residue"):
-        purity_decomposition(skew, ps)
+    with pytest.raises(ValueError, match=re.escape(f"imaginary residue {residue}; input not Hermitian")):
+        purity_decomposition(rho, ps)
 
 
 def test_entropy_gain_equals_erased_weight():

@@ -133,6 +133,12 @@ def test_model_rejects_bad_fields():
         model_from_json(obj)
     with pytest.raises(ValueError, match="missing key"):
         model_from_json({"dim_s": 2, "dim_e": 2})
+    obj["dim_s"], obj["env_init"] = 2, True
+    with pytest.raises(ValueError, match="^model env_init must be an integer, got True$"):
+        model_from_json(obj)
+    obj["unitary"] = {"rows": 2}  # CouplingModel owns the integer check, so the unitary is read first
+    with pytest.raises(ValueError, match="missing key 'cols'"):
+        model_from_json(obj)
 
 
 def test_partition_from_json():
