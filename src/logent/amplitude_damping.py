@@ -23,11 +23,11 @@ closed form in (a, b, c, theta):
 
 The private _closed_forms is their one owner: it checks the state once
 and evaluates every expression above, and the closed_form_* functions
-read it. verify_closed_forms calls it once and recomputes all of them
-numerically through the generic channel machinery, which stays the
-independent oracle; for pure input the bound inequality and the
-projected-entropy equality must hold on top of the always-valid purity
-identity.
+read it. verify_closed_forms pins the Kraus route bound runs: it reads
+the entropy, bound, projected entropy and block purities (diag W) off
+verify_entropy_bound's kernel; the dense joint state is the test oracle.
+For pure input the bound inequality and the projected-entropy equality
+must hold on top of the always-valid purity identity.
 """
 from __future__ import annotations
 
@@ -36,10 +36,9 @@ from math import cos, sin
 
 import numpy as np
 
-from .channels import (CouplingModel, apply_channel, block_decompose, couple,
-                       extract_kraus, off_block_bound)
+from .channels import CouplingModel, _bound_report, extract_kraus
 from .linalg import DEFAULT_TOL, IDENTITY_TOL, ROUNDING_TOL, _require
-from .states import logical_entropy, purity, validate_density
+from .states import validate_density
 
 
 def coupling_model(theta: float) -> CouplingModel:
@@ -54,10 +53,11 @@ def coupling_model(theta: float) -> CouplingModel:
     return CouplingModel(u, dim_s=2, dim_e=2, env_init=0)
 
 
-def _closed_forms(a: float, b: complex, c: float, theta: float) -> tuple[np.ndarray, float, float, tuple]:
-    """The one closed-form evaluation: the checked state [[a, b], [conj(b), c]], the off-block
-    bound, the output purity and the two block purities, each as the module docstring writes it."""
-    rho = validate_density(np.array([[a, b], [np.conj(b), c]], dtype=np.complex128))
+def _closed_forms(a: float, b: complex, c: float, theta: float,
+                  tol: float = DEFAULT_TOL) -> tuple[np.ndarray, float, float, tuple]:
+    """The one closed-form evaluation: the state [[a, b], [conj(b), c]] checked within tol, the
+    off-block bound, the output purity and the two block purities, as the module docstring writes them."""
+    rho = validate_density(np.array([[a, b], [np.conj(b), c]], dtype=np.complex128), tol=tol)
     st2 = sin(theta) ** 2
     ct2 = cos(theta) ** 2
     b2 = abs(b) ** 2
@@ -85,8 +85,8 @@ def closed_form_block_purities(a: float, b: complex, c: float, theta: float) -> 
 class ClosedFormReport:
     """Numeric pipeline vs closed forms for one (a, b, c, theta).
 
-    bound is the closed form, numeric_bound the coupled state's off-block
-    weight (they agree within 1e-10). entropy_matches_closed_form must
+    bound is the closed form, numeric_bound verify_entropy_bound's bound
+    (they agree within 1e-10). entropy_matches_closed_form must
     always hold; bound_holds and projected_equals_bound are only
     guaranteed under hypothesis_pure.
     """
@@ -103,29 +103,20 @@ class ClosedFormReport:
     projected_equals_bound: bool
 
 
-def verify_closed_forms(a: float, b: complex, c: float, theta: float) -> ClosedFormReport:
-    """Drive the generic machinery and compare with every closed form."""
-    rho, cf_bound, cf_purity, _ = _closed_forms(a, b, c, theta)
-    model = coupling_model(theta)
-    out = apply_channel(rho, extract_kraus(model))
-    entropy = logical_entropy(out)
+def verify_closed_forms(a: float, b: complex, c: float, theta: float,
+                        tol: float = DEFAULT_TOL) -> ClosedFormReport:
+    """Run verify_entropy_bound's kernel on the damping channel, the state checked within tol,
+    and compare with every closed form."""
+    rho, cf_bound, cf_purity, _ = _closed_forms(a, b, c, theta, tol)
+    r, w = _bound_report(rho, extract_kraus(coupling_model(theta)), tol)
     cf_entropy = 1.0 - cf_purity
-    blocks = block_decompose(couple(rho, model), 2, 2)
-    b00, b11 = blocks[0, 0], blocks[1, 1]
-    block_pur = (float(np.vdot(b00, b00).real), float(np.vdot(b11, b11).real))
-    projected = 1.0 - sum(block_pur)
-    numeric_bound = off_block_bound(blocks)
-    _require(abs(numeric_bound - cf_bound), IDENTITY_TOL, "bound routes disagree: {1!r} vs {2!r}",
-             numeric_bound, cf_bound, error=AssertionError)
+    _require(abs(r.bound - cf_bound), IDENTITY_TOL, "bound routes disagree: {1!r} vs {2!r}",
+             r.bound, cf_bound, error=AssertionError)
     return ClosedFormReport(
-        entropy=entropy,
-        closed_form_entropy=cf_entropy,
-        bound=cf_bound,
-        numeric_bound=numeric_bound,
-        projected_entropy=projected,
-        block_purities=block_pur,
-        hypothesis_pure=purity(rho) >= 1.0 - DEFAULT_TOL,
-        entropy_matches_closed_form=abs(entropy - cf_entropy) <= IDENTITY_TOL,
-        bound_holds=entropy <= cf_bound + ROUNDING_TOL,
-        projected_equals_bound=abs(projected - cf_bound) <= IDENTITY_TOL,
+        entropy=r.entropy, closed_form_entropy=cf_entropy, bound=cf_bound, numeric_bound=r.bound,
+        projected_entropy=r.projected_entropy, block_purities=(float(w[0, 0].real), float(w[1, 1].real)),
+        hypothesis_pure=r.hypothesis_pure,
+        entropy_matches_closed_form=abs(r.entropy - cf_entropy) <= IDENTITY_TOL,
+        bound_holds=r.entropy <= cf_bound + ROUNDING_TOL,
+        projected_equals_bound=abs(r.projected_entropy - cf_bound) <= IDENTITY_TOL,
     )

@@ -24,9 +24,9 @@ for pure input, and the traced output never exceeds the projected entropy.
 
 verify_entropy_bound reads every block weight off the Kraus stack,
 W_ij = tr(A_i rho A_j rho) with A_i = E_i† E_i, and never builds the
-coupled state. couple, block_decompose and off_block_bound (with
-linalg.partial_trace) build it densely and stay as the independent
-route the Kraus route is checked against. Unitarity and Kraus completeness
+coupled state; the amplitude-damping closed forms pin this route. couple,
+block_decompose and off_block_bound (with linalg.partial_trace) build it
+densely and are only the test oracle for it. Unitarity and Kraus completeness
 read max |A A† - I| off the block upper triangle of A A†, at half the flops.
 """
 from __future__ import annotations
@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import DEFAULT_TOL, NORM_TOL, _require, as_complex_matrix, hermiticity_defect
-from .states import _purities, validate_density
+from .states import _norms, _purities, validate_density
 
 _GRAM_ROWS = 128  # rows of A per block of the Gram-defect walk
 
@@ -231,10 +231,13 @@ def verify_entropy_bound(rho, model: CouplingModel, tol: float = DEFAULT_TOL) ->
     separate sums of one block-weight matrix W: the off-diagonal sum and
     1 - tr W. Each is computed once, by the kernels the stacked campaigns run.
     """
-    rho = _on_system(validate_density(rho, tol=tol), model)
-    ops = extract_kraus(model)
+    return _bound_report(_on_system(validate_density(rho, tol=tol), model), extract_kraus(model), tol)[0]
+
+
+def _bound_report(rho: np.ndarray, ops: np.ndarray, tol: float) -> tuple[BoundReport, np.ndarray]:
+    """verify_entropy_bound of a checked state and Kraus stack, with the block-weight matrix W it read."""
     w = _block_weights(rho, ops)
-    bound = float(w[~np.eye(model.dim_e, dtype=bool)].sum().real)
+    bound = float(w[~np.eye(len(ops), dtype=bool)].sum().real)
     entropy = 1.0 - float(_purities(_channel(rho, ops)))
     projected = 1.0 - float(w.trace().real)
     return BoundReport(
@@ -245,7 +248,7 @@ def verify_entropy_bound(rho, model: CouplingModel, tol: float = DEFAULT_TOL) ->
         hypothesis_pure=float(_purities(rho)) >= 1.0 - tol,
         projected_equals_bound=abs(projected - bound) <= tol,
         entropy_le_projected=entropy <= projected + tol,
-    )
+    ), w
 
 
 def rotate_env_init(model: CouplingModel, env_state) -> CouplingModel:
@@ -257,8 +260,7 @@ def rotate_env_init(model: CouplingModel, env_state) -> CouplingModel:
     w = np.asarray(env_state, dtype=np.complex128).reshape(-1)
     if w.shape[0] != model.dim_e:
         raise ValueError(f"dimension mismatch: env state has {w.shape[0]} entries, dim_e={model.dim_e}")
-    with np.errstate(over="ignore"):  # huge entries overflow to inf, as an inf entry does
-        norm = float(np.linalg.norm(w))
+    norm = float(_norms(w))
     _require(abs(norm - 1.0), NORM_TOL,
              "environment state norm {1:.9g} deviates from 1 by more than 1e-6", norm)
     w = w / norm

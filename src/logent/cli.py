@@ -7,7 +7,8 @@ Every command is deterministic given its inputs and --seed.
 
 Exit codes: 0 success, 1 bad input data or a failed randomized
 property, 2 an internal contradiction (a guaranteed identity or bound
-violated, which signals a bug in the library itself), 64 usage error.
+violated, or two routes to one value that disagree: a bug in the
+library itself), 64 usage error.
 """
 from __future__ import annotations
 
@@ -201,14 +202,11 @@ def _cmd_sweep(parser, args) -> tuple[int, str]:
         raise ValueError(f"sweep needs a single-qubit state, got shape {rho.shape}")
     if args.steps < 1:
         parser.error("--steps must be >= 1")
-    a = float(rho[0, 0].real)
-    b = complex(rho[0, 1])
-    c = float(rho[1, 1].real)
+    a, b, c = float(rho[0, 0].real), complex(rho[0, 1]), float(rho[1, 1].real)
     buf = io.StringIO()
     buf.write("theta,entropy,bound,closed_form_entropy,closed_form_bound,slack\n")
-    for theta in np.linspace(args.theta_start, args.theta_end, args.steps):
-        theta = float(theta)
-        r = amplitude_damping.verify_closed_forms(a, b, c, theta)
+    for theta in np.linspace(args.theta_start, args.theta_end, args.steps).tolist():
+        r = amplitude_damping.verify_closed_forms(a, b, c, theta, tol=args.tol)
         row = [theta, r.entropy, r.numeric_bound, r.closed_form_entropy, r.bound,
                r.numeric_bound - r.entropy]
         buf.write(",".join(repr(x) for x in row) + "\n")
@@ -280,9 +278,9 @@ def main(argv=None) -> int:
         _emit(payload if isinstance(payload, str) else _render(payload, args), args)
     except SystemExit as exc:  # a usage error, also parser.error inside a command
         return int(exc.code or 0)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:  # bad input, or --output unwritable
-        print(f"logent: error: {exc}", file=sys.stderr)
-        return EXIT_FAILURE
+    except (ValueError, OSError, json.JSONDecodeError, AssertionError) as exc:
+        print(f"logent: error: {exc}", file=sys.stderr)  # AssertionError: two routes to one value disagree
+        return EXIT_CONTRADICTION if isinstance(exc, AssertionError) else EXIT_FAILURE
     return code
 
 

@@ -37,7 +37,13 @@ def hermiticity_defect(m) -> float:
     m = as_complex_matrix(m)
     if m.shape[0] != m.shape[1]:
         raise ValueError(f"square matrix required, got {m.shape}")
-    return float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
+    return float(_hermiticity_defects(m))
+
+
+def _hermiticity_defects(m: np.ndarray) -> np.ndarray:
+    """hermiticity_defect over any leading axes, 0 if empty; inf or huge entries fail it quietly (NaN, inf)."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        return np.abs(m - m.conj().swapaxes(-1, -2)).max(axis=(-2, -1), initial=0.0)
 
 
 def _first(ok: np.ndarray) -> int:

@@ -19,7 +19,8 @@ from __future__ import annotations
 import numpy as np
 
 from .channels import _block_weights, apply_channel
-from .linalg import DEFAULT_TOL, IDENTITY_TOL, ROUNDING_TOL, _first, _require, as_complex_matrix
+from .linalg import (DEFAULT_TOL, IDENTITY_TOL, ROUNDING_TOL, _first, _hermiticity_defects, _require,
+                     as_complex_matrix)
 from .states import _purities
 
 
@@ -79,8 +80,9 @@ def validate_projectors(ps, tol: float = IDENTITY_TOL) -> np.ndarray:
         raise ValueError(f"projector 0 has shape {mats[0].shape}: its dimension is empty")
     shaped = next((i for i, p in enumerate(mats) if p.shape != (dim, dim)), len(mats))
     ps = np.array(mats[:shaped]).reshape(shaped, dim, dim)
-    herm = np.abs(ps - ps.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
-    bad = _first((herm <= tol) & (np.abs(ps @ ps - ps).max(axis=(-2, -1)) <= tol))
+    herm = _hermiticity_defects(ps)
+    with np.errstate(invalid="ignore", over="ignore"):  # a set with an inf or huge entry fails herm
+        bad = _first((herm <= tol) & (np.abs(ps @ ps - ps).max(axis=(-2, -1)) <= tol))
     if bad < shaped:
         defect = "Hermitian" if not herm[bad] <= tol else "idempotent"
         raise ValueError(f"projector {bad} is not {defect} within {tol:.1e}")
@@ -118,7 +120,8 @@ def purity_decomposition(rho, ps) -> tuple[float, float]:
     ps = validate_projectors(ps)
     if ps.shape[1:] != rho.shape:
         raise ValueError(f"dimension mismatch: projectors are {ps.shape[1:]}, state is {rho.shape}")
-    projected, mass = _purity_split(rho, ps)
+    with np.errstate(invalid="ignore", over="ignore"):  # an inf state leaves a NaN residue, which fails
+        projected, mass = _purity_split(rho, ps)
     return float(projected), float(mass)
 
 
@@ -134,6 +137,15 @@ def _purity_split(rho: np.ndarray, ps: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return w.trace(axis1=-2, axis2=-1).real, pair.real
 
 
+def _measured_purities(rho, ps, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
+    """tr(rho^2) and tr(project(rho, ps)^2), rho checked Hermitian within tol after project's checks."""
+    rho = as_complex_matrix(rho)
+    with np.errstate(invalid="ignore", over="ignore"):  # an inf state fails the check below
+        rho_hat = project(rho, ps)
+    _require(_hermiticity_defects(rho), tol, "state not Hermitian: defect {:.3e}")  # project made rho square
+    return _purities(rho), _purities(rho_hat)
+
+
 def entropy_gain(rho, ps) -> float:
     """h(rho_hat) - h(rho): entropy added by an unread measurement.
 
@@ -141,8 +153,7 @@ def entropy_gain(rho, ps) -> float:
     the special case, this equals the off-block weight that
     purity_decomposition reports.
     """
-    rho_hat = project(rho, ps)
-    return float(_entropy_gains(_purities(as_complex_matrix(rho)), _purities(rho_hat)))
+    return float(_entropy_gains(*_measured_purities(rho, ps)))
 
 
 def _entropy_gains(purity: np.ndarray, purity_hat: np.ndarray) -> np.ndarray:
@@ -153,8 +164,7 @@ def _entropy_gains(purity: np.ndarray, purity_hat: np.ndarray) -> np.ndarray:
 def entropy_nondecreasing(rho, ps, tol: float = DEFAULT_TOL) -> bool:
     """Whether h(rho) <= h(rho_hat) + tol. Holds for every complete
     orthogonal projector set, basis-aligned or not."""
-    rho_hat = project(rho, ps)
-    return bool(_nondecreasing(_purities(as_complex_matrix(rho)), _purities(rho_hat), tol))
+    return bool(_nondecreasing(*_measured_purities(rho, ps, tol), tol))
 
 
 def _nondecreasing(purity: np.ndarray, purity_hat: np.ndarray, tol: float) -> np.ndarray:

@@ -115,8 +115,7 @@ def model_from_json(obj) -> CouplingModel:
 
 
 def partition_from_json(obj) -> list[list[int]]:
-    if not isinstance(obj, dict) or "blocks" not in obj:
-        raise ValueError("partition object must be a JSON object with a 'blocks' key")
+    _json_object(obj, "partition", "blocks")
     blocks = obj["blocks"]
     if not isinstance(blocks, list) or not all(isinstance(b, list) for b in blocks):
         raise ValueError("'blocks' must be a list of lists of indices")
@@ -138,8 +137,7 @@ def ensemble_from_json(obj) -> Ensemble:
 
 
 def distribution_from_json(obj) -> np.ndarray:
-    if not isinstance(obj, dict) or "probs" not in obj:
-        raise ValueError("distribution object must be a JSON object with a 'probs' key")
+    _json_object(obj, "distribution", "probs")
     probs = obj["probs"]
     if not isinstance(probs, list) or not probs:
         raise ValueError("'probs' must be a non-empty list of numbers")

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, NORM_TOL, _dots, _first, as_complex_matrix
+from .linalg import DEFAULT_TOL, NORM_TOL, _dots, _first, _hermiticity_defects, as_complex_matrix
 
 
 class DensityValidationError(ValueError):
@@ -55,7 +55,7 @@ def validate_density(m, tol: float = DEFAULT_TOL) -> np.ndarray:
 
 def _validate_densities(m: np.ndarray, tol: float) -> None:
     """validate_density's other checks on a (k, n, n) stack; the first failure raises."""
-    herm = np.abs(m - m.conj().swapaxes(1, 2)).max(axis=(1, 2), initial=0.0)
+    herm = _hermiticity_defects(m)
     tr = m.trace(axis1=1, axis2=2)
     dev = np.abs(tr - 1.0)
     cut = _first(np.maximum(herm, dev) <= tol)  # a NaN in either fails
@@ -92,7 +92,8 @@ def _pure_densities(v: np.ndarray) -> np.ndarray:
 
 def _norms(v: np.ndarray) -> np.ndarray:
     """Norms along the last axis, summed as np.linalg.norm sums one vector."""
-    return np.sqrt(_dots(v.real, v.real) + _dots(v.imag, v.imag))
+    with np.errstate(over="ignore"):  # huge entries overflow to inf, as an inf entry does
+        return np.sqrt(_dots(v.real, v.real) + _dots(v.imag, v.imag))
 
 
 def _purities(m: np.ndarray) -> np.ndarray:

@@ -1,13 +1,17 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 import logent.amplitude_damping
+import logent.channels
 from logent.amplitude_damping import (closed_form_block_purities,
                                       closed_form_bound, closed_form_purity,
                                       coupling_model, verify_closed_forms)
-from logent.states import purity, random_density, random_pure_state, validate_density
+from logent.channels import verify_entropy_bound
+from logent.states import TraceError, purity, random_density, random_pure_state, validate_density
 
 THETAS = [0.0, 0.3, np.pi / 4, 1.1, np.pi / 2, 2.0, np.pi]
 
@@ -124,7 +128,46 @@ class TestVerifyClosedForms:
 
     @pytest.mark.parametrize("offset", [1e-9, float("nan")])
     def test_bound_routes_that_disagree_raise(self, monkeypatch, offset):
-        real = logent.amplitude_damping.off_block_bound
-        monkeypatch.setattr(logent.amplitude_damping, "off_block_bound", lambda blocks: real(blocks) + offset)
+        real = logent.amplitude_damping._bound_report
+
+        def shifted(*args):
+            report, w = real(*args)
+            return dataclasses.replace(report, bound=report.bound + offset), w
+
+        monkeypatch.setattr(logent.amplitude_damping, "_bound_report", shifted)
         with pytest.raises(AssertionError, match="^bound routes disagree: "):
             verify_closed_forms(0.5, 0.5, 0.5, 0.7)
+
+    def test_a_block_weight_fault_breaks_the_closed_form_agreement(self, monkeypatch):
+        # the closed forms check the Kraus route that verify_entropy_bound runs, not a
+        # separate dense one: a fault in channels._block_weights must show here
+        real = logent.channels._block_weights
+
+        def faulty(rho, ops):
+            w = real(rho, ops)
+            return w + 1e-6 * (1 - np.eye(w.shape[-1]))
+
+        monkeypatch.setattr(logent.channels, "_block_weights", faulty)
+        with pytest.raises(AssertionError, match="^bound routes disagree: "):
+            verify_closed_forms(0.5, 0.5, 0.5, 0.7)
+
+    def test_reads_the_kraus_report_kernel(self):
+        # entropy, bound, projected entropy, purity flag and block purities are verify_entropy_bound's
+        for seed in range(20):
+            rho = random_density(2, seed)
+            a, b, c = pure_abc(seed) if seed % 2 else (rho[0, 0].real, rho[0, 1], rho[1, 1].real)
+            theta = 0.15 * seed
+            report = verify_closed_forms(a, b, c, theta)
+            kraus = verify_entropy_bound(np.array([[a, b], [np.conj(b), c]]), coupling_model(theta))
+            assert (report.entropy, report.numeric_bound, report.projected_entropy, report.hypothesis_pure) == (
+                kraus.entropy, kraus.bound, kraus.projected_entropy, kraus.hypothesis_pure)
+            assert 1.0 - sum(report.block_purities) == kraus.projected_entropy
+
+    def test_state_is_checked_within_tol(self):
+        # a trace of 1 + 5e-8 passes a 1e-6 check and fails the default one
+        a, b, c = 0.5 + 5e-8, 0.5, 0.5
+        with pytest.raises(TraceError, match=r"tol 1\.000e-09"):
+            verify_closed_forms(a, b, c, 0.7)
+        report = verify_closed_forms(a, b, c, 0.7, tol=1e-6)
+        assert report.entropy_matches_closed_form
+        assert abs(report.numeric_bound - report.bound) < 1e-12

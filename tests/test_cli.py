@@ -9,6 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import logent.amplitude_damping
+import logent.classical
 import logent.cli
 import logent.fuzz
 from logent.cli import build_parser, main
@@ -190,6 +192,14 @@ class TestProp2:
 
 
 class TestBridge:
+    def test_entropy_routes_that_disagree_exit_2(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.setattr(logent.classical, "_dit_count", lambda p, blocks: 0.125)
+        dist = write_json(tmp_path / "dist.json", {"probs": [0.5, 0.25, 0.25]})
+        part = write_json(tmp_path / "part.json", {"blocks": [[0], [1, 2]]})
+        code, out, err = run_cli(capsys, "bridge", "--dist", dist, "--partition", part)
+        assert (code, out) == (2, "")
+        assert err == "logent: error: partition entropy routes disagree: 0.5 vs 0.125\n"
+
     def test_frozen_case(self, capsys, tmp_path):
         dist = write_json(tmp_path / "dist.json",
                           {"probs": [0.5, 0.25, 0.25]})
@@ -205,6 +215,29 @@ class TestBridge:
 
 class TestSweep:
     HEADER = "theta,entropy,bound,closed_form_entropy,closed_form_bound,slack"
+
+    def test_tol_reaches_the_state_check(self, capsys, tmp_path):
+        # trace 1 + 5e-8: --tol 1e-6 accepts it for sweep as it does for bound
+        rho = np.array([[0.5 + 5e-8, 0.5], [0.5, 0.5]], dtype=complex)
+        state = write_json(tmp_path / "drift.json", matrix_to_json(rho))
+        code, out, err = run_cli(capsys, "--tol", "1e-6", "sweep", "--state", state, "--steps", "8")
+        assert (code, err) == (0, "")
+        assert len(out.strip().split("\n")) == 9
+        code, _, err = run_cli(capsys, "sweep", "--state", state, "--steps", "8")
+        assert code == 1
+        assert "tol 1.000e-09" in err
+
+    def test_bound_routes_that_disagree_exit_2(self, capsys, monkeypatch, plus_state):
+        real = logent.amplitude_damping._bound_report
+
+        def shifted(*args):
+            report, w = real(*args)
+            return dataclasses.replace(report, bound=report.bound + 1e-6), w
+
+        monkeypatch.setattr(logent.amplitude_damping, "_bound_report", shifted)
+        code, out, err = run_cli(capsys, "sweep", "--state", plus_state, "--steps", "4")
+        assert (code, out) == (2, "")
+        assert err.startswith("logent: error: bound routes disagree: ") and err.count("\n") == 1
 
     def test_shape_and_internal_consistency(self, capsys, plus_state):
         code, out, _ = run_cli(capsys, "sweep", "--state", plus_state,

@@ -1,9 +1,16 @@
+import re
+import warnings
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 from hypothesis import given, strategies as st
 
+from logent.channels import block_decompose
 from logent.linalg import _require, hermiticity_defect, partial_trace
+from logent.measurement import projectors_from_partition, purity_decomposition, validate_projectors
+from logent.mixing import Ensemble, schmidt_entropy_pair
+from logent.states import NonHermitianError, density_from_pure, validate_density
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -45,3 +52,34 @@ def test_require_fails_a_nan_and_formats_only_on_failure():
         _require(2e-9, 1e-9, "defect {0:.3e} of {1}", 7)
     with pytest.raises(AssertionError, match="^nan$"):
         _require(float("nan"), 1.0, "{!r}", error=AssertionError)
+
+
+INF_STATE = [[np.inf, 0], [0, 0]]
+NORM_INF = re.escape("state vector norm inf deviates from 1")
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: validate_density(INF_STATE), NonHermitianError, "defect nan"),
+    (lambda: validate_density([[1e308, -1e308], [1e308, 0]]), NonHermitianError, "defect inf"),
+    (lambda: Ensemble(weights=[1.0], states=(INF_STATE,)), NonHermitianError, "defect nan"),
+    (lambda: validate_projectors([np.array([[np.inf]])]), ValueError, "projector 0 is not Hermitian"),
+    (lambda: validate_projectors([np.array([[1e200]])]), ValueError, "projector 0 is not idempotent"),
+    (lambda: block_decompose(np.full((4, 4), np.inf), 2, 2), ValueError, "joint state not Hermitian: defect nan"),
+    (lambda: purity_decomposition(INF_STATE, projectors_from_partition([[0], [1]], 2)), ValueError,
+     "imaginary residue nan"),
+    (lambda: density_from_pure([1e200, 1e200]), ValueError, NORM_INF),
+    (lambda: schmidt_entropy_pair([1e200, 1e200, 0, 0], 2, 2), ValueError, NORM_INF),
+], ids=["density-inf", "density-huge", "ensemble-inf", "projector-inf", "projector-huge", "block-decompose-inf",
+        "purity-decomposition-inf", "pure-huge", "schmidt-huge"])
+def test_validators_reject_inf_and_huge_input_without_a_numpy_warning(call, error, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error, match=message):
+            call()
+
+
+@pytest.mark.parametrize("m", [[[np.inf]], [[0, np.inf], [np.inf, 0]]])
+def test_hermiticity_defect_of_inf_is_nan_without_a_numpy_warning(m):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.isnan(hermiticity_defect(m))

@@ -228,6 +228,17 @@ def test_project_dimension_mismatch():
         project(np.eye(3) / 3, projectors_from_partition([[0], [1]], 2))
 
 
+@pytest.mark.parametrize("fn", [entropy_gain, entropy_nondecreasing])
+@pytest.mark.parametrize("state", [np.full((2, 2), np.nan), [[np.inf, 0], [0, 0]], [[0.5, 1], [0, 0.5]]],
+                         ids=["nan", "inf", "non-hermitian"])
+def test_entropy_change_rejects_a_state_that_is_not_hermitian(fn, state):
+    # the state is checked after the projectors and the dimensions, so a bad set keeps its message
+    with pytest.raises(ValueError, match="^state not Hermitian: defect "):
+        fn(state, projectors_from_partition([[0], [1]], 2))
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        fn(state, projectors_from_partition([[0], [1], [2]], 3))
+
+
 @pytest.mark.parametrize("fn", [project, entropy_gain, entropy_nondecreasing])
 def test_measurement_checks_its_projectors(fn):
     # the general projector path rejects a set that is not a complete

@@ -399,3 +399,14 @@ def test_load_json_checks_every_chunk_boundary(tmp_path, monkeypatch):
             data = ", ".join([f"[{a}, {b}]" for a, b in pairs[:k]] + [bad]
                              + [f"[{a}, {b}]" for a, b in pairs[k + 1:]])
             _assert_reads_like_json_loads(path, f'{{"rows": 40, "cols": 1, "data": [{data}]}}')
+
+
+def test_partition_and_distribution_readers_share_the_object_check():
+    with pytest.raises(ValueError, match=re.escape("partition object missing key 'blocks'")):
+        partition_from_json({})
+    with pytest.raises(ValueError, match=re.escape("partition object must be a JSON object, got list")):
+        partition_from_json([[0]])
+    with pytest.raises(ValueError, match=re.escape("distribution object missing key 'probs'")):
+        distribution_from_json({"weights": [1.0]})
+    with pytest.raises(ValueError, match=re.escape("distribution object must be a JSON object, got str")):
+        distribution_from_json("probs")
