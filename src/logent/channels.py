@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, NORM_TOL, _require, as_complex_matrix, hermiticity_defect
+from .linalg import DEFAULT_TOL, NORM_TOL, _on_space, _require, as_complex_matrix, hermiticity_defect
 from .states import _norms, _purities, validate_density
 
 _GRAM_ROWS = 128  # rows of A per block of the Gram-defect walk
@@ -50,12 +50,6 @@ def _gram_defect(a: np.ndarray) -> float:
             g.reshape(-1)[::g.shape[1] + 1] -= 1  # g is a fresh C-ordered product: its block's diagonal
             peak = np.abs(g).max(initial=peak)  # a NaN entry or peak stays NaN; max(0.0, nan) is 0.0
     return float(peak)
-
-
-def _readonly(a: np.ndarray) -> np.ndarray:
-    out = np.array(a, dtype=np.complex128)
-    out.setflags(write=False)
-    return out
 
 
 @dataclass(frozen=True)
@@ -83,15 +77,15 @@ class CouplingModel:
             if isinstance(v, bool) or not isinstance(v, (int, np.integer)):  # np.bool_ is no np.integer
                 raise ValueError(f"model {name} must be an integer, got {v!r}")
         u = as_complex_matrix(self.unitary)
-        n = self.dim_s * self.dim_e
         if self.dim_s < 1 or self.dim_e < 1:
             raise ValueError(f"dimensions must be positive, got dim_s={self.dim_s} dim_e={self.dim_e}")
-        if u.shape != (n, n):
-            raise ValueError(f"dimension mismatch: unitary is {u.shape}, dims imply {(n, n)}")
+        _on_space(u, self.dim_s * self.dim_e, "joint space", "unitary")
         _require(_gram_defect(u), DEFAULT_TOL, "matrix is not unitary: U U† deviates from I by {:.3e}")
         if not 0 <= self.env_init < self.dim_e:
             raise ValueError(f"env_init {self.env_init} outside [0, {self.dim_e})")
-        object.__setattr__(self, "unitary", _readonly(u))
+        u = np.array(u)  # a private copy, frozen
+        u.setflags(write=False)
+        object.__setattr__(self, "unitary", u)
 
 
 def _isometry(model: CouplingModel) -> np.ndarray:
@@ -100,16 +94,9 @@ def _isometry(model: CouplingModel) -> np.ndarray:
     return model.unitary[:, model.env_init * ds:(model.env_init + 1) * ds]
 
 
-def _on_system(rho: np.ndarray, model: CouplingModel) -> np.ndarray:
-    """rho, after checking that it lives on the model's system side."""
-    if rho.shape != (model.dim_s, model.dim_s):
-        raise ValueError(f"dimension mismatch: state is {rho.shape}, model system side is {model.dim_s}")
-    return rho
-
-
 def couple(rho, model: CouplingModel) -> np.ndarray:
     """Joint state U (|e0><e0| (x) rho) U† = V rho V† on E (x) S."""
-    rho = _on_system(as_complex_matrix(rho), model)
+    rho = _on_space(as_complex_matrix(rho), model.dim_s, "model system side")
     v = _isometry(model)
     return v @ rho @ v.conj().T
 
@@ -150,12 +137,11 @@ def completeness_defect(ops) -> float:
 
 
 def apply_channel(rho, ops) -> np.ndarray:
-    """sum_i E_i rho E_i†. Trace-preserving when ops are complete."""
+    """sum_i E_i rho E_i†. rho must be n x n for operators of input side n;
+    trace-preserving when ops are complete."""
     rho = as_complex_matrix(rho)
     ops = _operator_stack(ops)
-    if ops.shape[2] != rho.shape[0]:
-        raise ValueError(f"dimension mismatch: operator {ops.shape[1:]} against state {rho.shape}")
-    return _channel(rho, ops)
+    return _channel(_on_space(rho, ops.shape[2], "operator input side"), ops)
 
 
 def _channel(rho: np.ndarray, ops: np.ndarray) -> np.ndarray:
@@ -171,10 +157,7 @@ def block_decompose(joint, dim_s: int, dim_e: int, tol: float = DEFAULT_TOL) -> 
     (Hermitian within tol, unit trace within tol); blocks[j, i] is then
     the dagger of blocks[i, j].
     """
-    joint = as_complex_matrix(joint)
-    n = dim_s * dim_e
-    if joint.shape != (n, n):
-        raise ValueError(f"dimension mismatch: expected {(n, n)}, got {joint.shape}")
+    joint = _on_space(as_complex_matrix(joint), dim_s * dim_e, "joint space", "joint state")
     _require(hermiticity_defect(joint), tol, "joint state not Hermitian: defect {:.3e}")
     _require(abs(complex(np.trace(joint)) - 1.0), tol, "joint state trace deviates from 1 by {:.3e}")
     return joint.reshape(dim_e, dim_s, dim_e, dim_s).swapaxes(1, 2)
@@ -231,7 +214,8 @@ def verify_entropy_bound(rho, model: CouplingModel, tol: float = DEFAULT_TOL) ->
     separate sums of one block-weight matrix W: the off-diagonal sum and
     1 - tr W. Each is computed once, by the kernels the stacked campaigns run.
     """
-    return _bound_report(_on_system(validate_density(rho, tol=tol), model), extract_kraus(model), tol)[0]
+    rho = _on_space(validate_density(rho, tol=tol), model.dim_s, "model system side")
+    return _bound_report(rho, extract_kraus(model), tol)[0]
 
 
 def _bound_report(rho: np.ndarray, ops: np.ndarray, tol: float) -> tuple[BoundReport, np.ndarray]:
@@ -301,7 +285,7 @@ def exchange_entropy(rho, model: CouplingModel, tol: float = DEFAULT_TOL) -> Exc
     (I_R (x) E_i)|RS><RS|(I_R (x) E_j)† has rank one, the off-block bound
     is sum_{i != j} W_ii W_jj. The purification is never built.
     """
-    rho = _on_system(validate_density(rho, tol=tol), model)
+    rho = _on_space(validate_density(rho, tol=tol), model.dim_s, "model system side")
     ops = extract_kraus(model)
     w = (ops @ rho).reshape(model.dim_e, -1) @ ops.reshape(model.dim_e, -1).conj().T
     _require(abs(complex(np.trace(w)) - 1.0), tol, "environment state trace deviates from 1 by {:.3e}")

@@ -205,12 +205,14 @@ def _cmd_sweep(parser, args) -> tuple[int, str]:
     a, b, c = float(rho[0, 0].real), complex(rho[0, 1]), float(rho[1, 1].real)
     buf = io.StringIO()
     buf.write("theta,entropy,bound,closed_form_entropy,closed_form_bound,slack\n")
+    code = EXIT_OK
     for theta in np.linspace(args.theta_start, args.theta_end, args.steps).tolist():
         r = amplitude_damping.verify_closed_forms(a, b, c, theta, tol=args.tol)
         row = [theta, r.entropy, r.numeric_bound, r.closed_form_entropy, r.bound,
                r.numeric_bound - r.entropy]
         buf.write(",".join(repr(x) for x in row) + "\n")
-    return EXIT_OK, buf.getvalue()
+        code = code if r.entropy_matches_closed_form else EXIT_CONTRADICTION  # every input must pass it
+    return code, buf.getvalue()
 
 
 def _cmd_fuzz(parser, args) -> tuple[int, dict]:

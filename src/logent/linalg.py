@@ -5,8 +5,10 @@ use a fixed ordering convention: the first ("a") factor index varies
 slowest, so the joint index is i_a * dim_b + i_b.
 
 The tolerance policy is four names that every module reads: DEFAULT_TOL,
-IDENTITY_TOL, ROUNDING_TOL and NORM_TOL. A scalar check that raises goes
-through _require, a stacked one through _first, and a NaN fails both.
+IDENTITY_TOL, ROUNDING_TOL and NORM_TOL. Three gates check input: a scalar
+check that raises goes through _require, a stacked one through _first, and a
+NaN fails both; a matrix checked against a space's dimension goes through
+_on_space.
 """
 from __future__ import annotations
 
@@ -22,6 +24,13 @@ def _require(value: float, tol: float, message: str, *args, error: type = ValueE
     """Raise error(message.format(value, *args)) unless value <= tol, which a NaN value fails."""
     if not value <= tol:
         raise error(message.format(value, *args))
+
+
+def _on_space(m: np.ndarray, n: int, space: str, what: str = "state") -> np.ndarray:
+    """m, after checking that its last two axes are n x n, n being the dimension of space."""
+    if m.shape[-2:] != (n, n):
+        raise ValueError(f"dimension mismatch: {what} is {m.shape}, {space} is {n}")
+    return m
 
 
 def as_complex_matrix(m) -> np.ndarray:
@@ -69,10 +78,7 @@ def partial_trace(m, dim_a: int, dim_b: int, keep: str) -> np.ndarray:
 
 def _partial_trace(m: np.ndarray, dim_a: int, dim_b: int, keep: str) -> np.ndarray:
     """partial_trace over any leading axes of m."""
-    n = dim_a * dim_b
-    if m.shape[-2:] != (n, n):
-        raise ValueError(f"dimension mismatch: expected {(n, n)} for dims ({dim_a},{dim_b}), "
-                         f"got {m.shape[-2:]}")
+    _on_space(m, dim_a * dim_b, f"space of dims ({dim_a},{dim_b})", "matrix")
     t = m.reshape(*m.shape[:-2], dim_a, dim_b, dim_a, dim_b)
     if keep == "a":
         return np.trace(t, axis1=-3, axis2=-1)

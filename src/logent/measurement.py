@@ -19,8 +19,8 @@ from __future__ import annotations
 import numpy as np
 
 from .channels import _block_weights, apply_channel
-from .linalg import (DEFAULT_TOL, IDENTITY_TOL, ROUNDING_TOL, _first, _hermiticity_defects, _require,
-                     as_complex_matrix)
+from .linalg import (DEFAULT_TOL, IDENTITY_TOL, ROUNDING_TOL, _first, _hermiticity_defects, _on_space,
+                     _require, as_complex_matrix)
 from .states import _purities
 
 
@@ -118,8 +118,7 @@ def purity_decomposition(rho, ps) -> tuple[float, float]:
     """
     rho = as_complex_matrix(rho)
     ps = validate_projectors(ps)
-    if ps.shape[1:] != rho.shape:
-        raise ValueError(f"dimension mismatch: projectors are {ps.shape[1:]}, state is {rho.shape}")
+    _on_space(rho, ps.shape[1], "projector space")
     with np.errstate(invalid="ignore", over="ignore"):  # an inf state leaves a NaN residue, which fails
         projected, mass = _purity_split(rho, ps)
     return float(projected), float(mass)

@@ -41,6 +41,18 @@ class TestCouplingModel:
         with pytest.raises(ValueError, match="dimension mismatch"):
             CouplingModel(np.eye(4), dim_s=2, dim_e=3)
 
+    def test_rejects_dimensions_below_one(self):
+        with pytest.raises(ValueError, match="^dimensions must be positive, got dim_s=0 dim_e=1$"):
+            CouplingModel(np.eye(1), dim_s=0, dim_e=1)
+
+    def test_unitary_is_a_read_only_private_copy(self):
+        u = np.eye(4, dtype=complex)
+        model = CouplingModel(u, dim_s=2, dim_e=2)
+        assert not model.unitary.flags.writeable
+        assert not np.shares_memory(model.unitary, u)
+        u[0, 0] = 2.0
+        assert model.unitary[0, 0] == 1.0
+
     def test_rejects_env_init_out_of_range(self):
         with pytest.raises(ValueError, match="env_init"):
             CouplingModel(np.eye(4), dim_s=2, dim_e=2, env_init=2)

@@ -227,6 +227,27 @@ class TestSweep:
         assert code == 1
         assert "tol 1.000e-09" in err
 
+    def test_every_row_is_written_and_an_entropy_mismatch_exits_2(self, capsys, monkeypatch, plus_state,
+                                                                   tmp_path):
+        real = logent.amplitude_damping._closed_forms
+
+        def forged(*args):
+            rho, bound, out_purity, blocks = real(*args)
+            return rho, bound, out_purity + 1e-6, blocks
+
+        zero = write_json(tmp_path / "zero.json", matrix_to_json(np.diag([1.0, 0.0]).astype(complex)))
+        monkeypatch.setattr(logent.amplitude_damping, "_closed_forms", forged)
+        code, out, err = run_cli(capsys, "sweep", "--state", zero, "--steps", "4")
+        assert (code, err) == (2, "")
+        assert len(out.strip().split("\n")) == 5
+        monkeypatch.undo()
+        # the drift state CI sweeps keeps its identity at every angle
+        rho = np.array([[0.5 + 5e-8, 0.5], [0.5, 0.5]], dtype=complex)
+        drift = write_json(tmp_path / "drift.json", matrix_to_json(rho))
+        code, out, err = run_cli(capsys, "--tol", "1e-6", "sweep", "--state", drift, "--steps", "64")
+        assert (code, err) == (0, "")
+        assert len(out.strip().split("\n")) == 65
+
     def test_bound_routes_that_disagree_exit_2(self, capsys, monkeypatch, plus_state):
         real = logent.amplitude_damping._bound_report
 
@@ -383,6 +404,27 @@ class TestUsageErrors:
 
 
 class TestBadInput:
+    @pytest.mark.parametrize("argv, code, message", [
+        (("apply", "--state", "{rho3}", "--channel", "amplitude-damping", "--theta", "0.3"), 1,
+         "dimension mismatch: state is (3, 3), operator input side is 2"),
+        (("apply", "--state", "{plus}", "--model", "{model}"), 1,
+         "dimension mismatch: unitary is (4, 4), joint space is 6"),
+        (("sweep", "--state", "{rho3}"), 1, "sweep needs a single-qubit state, got shape (3, 3)"),
+        (("sweep", "--state", "{plus}", "--steps", "0"), 64, "--steps must be >= 1"),
+        (("bound", "--state", "{plus}"), 64,
+         "a coupling is required: --model FILE or --channel NAME --theta X"),
+    ], ids=["apply-state-size", "model-dims", "sweep-qubit", "sweep-steps", "bound-coupling"])
+    def test_rejection_exits_with_one_error_line(self, capsys, tmp_path, plus_state, argv, code, message):
+        files = {"plus": plus_state,
+                 "rho3": write_json(tmp_path / "rho3.json", matrix_to_json(np.eye(3, dtype=complex) / 3)),
+                 "model": write_json(tmp_path / "model.json",
+                                     {"unitary": matrix_to_json(np.eye(4, dtype=complex)),
+                                      "dim_s": 2, "dim_e": 3})}
+        got, out, err = run_cli(capsys, *(a.format(**files) for a in argv))
+        assert (got, out) == (code, "")
+        assert err.endswith(f"logent: error: {message}\n")
+        assert code == 64 or err.count("\n") == 1
+
     def test_invalid_density(self, capsys, tmp_path):
         bad = write_json(tmp_path / "bad.json",
                          {"rows": 2, "cols": 2,
@@ -479,6 +521,13 @@ class TestFormats:
                                "--state", plus_state)
         assert code == 0
         assert "logical_entropy = 0" in out
+
+    def test_human_apply_writes_its_nested_data_as_json(self, capsys, plus_state):
+        code, out, _ = run_cli(capsys, "--format", "human", "apply", "--state", plus_state,
+                               "--channel", "amplitude-damping", "--theta", "0")
+        assert code == 0
+        assert out.splitlines() == ["rows = 2", "cols = 2",
+                                    "data = [[0.5, 0.0], [0.5, 0.0], [0.5, 0.0], [0.5, 0.0]]"]
 
     def test_csv(self, capsys, plus_state):
         code, out, _ = run_cli(capsys, "--format", "csv", "entropy",

@@ -74,6 +74,11 @@ def test_unknown_suite_rejected():
         run_suite("nonsense", 5, 4, 3, seed=0)
 
 
+def test_dimension_bound_below_one_rejected():
+    with pytest.raises(ValueError, match="^dimension bound must be >= 1, got 0$"):
+        run_suite("theorem", 1, 0, 1, 0)
+
+
 def test_failing_trials_are_counted_and_recorded(monkeypatch):
     real = logent.fuzz.verify_entropy_bound
 

@@ -6,11 +6,13 @@ import numpy.testing as npt
 import pytest
 from hypothesis import given, strategies as st
 
-from logent.channels import block_decompose
-from logent.linalg import _require, hermiticity_defect, partial_trace
+from logent.amplitude_damping import coupling_model
+from logent.channels import (CouplingModel, apply_channel, block_decompose, couple, exchange_entropy,
+                             extract_kraus)
+from logent.linalg import _require, as_complex_matrix, hermiticity_defect, partial_trace
 from logent.measurement import projectors_from_partition, purity_decomposition, validate_projectors
 from logent.mixing import Ensemble, schmidt_entropy_pair
-from logent.states import NonHermitianError, density_from_pure, validate_density
+from logent.states import DensityValidationError, NonHermitianError, density_from_pure, validate_density
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -83,3 +85,37 @@ def test_hermiticity_defect_of_inf_is_nan_without_a_numpy_warning(m):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert np.isnan(hermiticity_defect(m))
+
+
+QUBIT_KRAUS = extract_kraus(coupling_model(0.3))
+QUBIT_PROJECTORS = projectors_from_partition([[0], [1]], 2)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: couple(np.eye(3) / 3, coupling_model(0.3)), ValueError,
+     "dimension mismatch: state is (3, 3), model system side is 2"),
+    (lambda: exchange_entropy(np.eye(3) / 3, coupling_model(0.3)), ValueError,
+     "dimension mismatch: state is (3, 3), model system side is 2"),
+    (lambda: apply_channel(np.eye(3) / 3, QUBIT_KRAUS), ValueError,
+     "dimension mismatch: state is (3, 3), operator input side is 2"),
+    (lambda: CouplingModel(np.eye(4), dim_s=2, dim_e=3), ValueError,
+     "dimension mismatch: unitary is (4, 4), joint space is 6"),
+    (lambda: block_decompose(np.eye(4) / 4, 2, 3), ValueError,
+     "dimension mismatch: joint state is (4, 4), joint space is 6"),
+    (lambda: purity_decomposition(np.eye(3) / 3, QUBIT_PROJECTORS), ValueError,
+     "dimension mismatch: state is (3, 3), projector space is 2"),
+    (lambda: partial_trace(np.eye(6), 2, 2, keep="a"), ValueError,
+     "dimension mismatch: matrix is (6, 6), space of dims (2,2) is 4"),
+    (lambda: schmidt_entropy_pair(np.ones(6) / np.sqrt(6), 2, 2), ValueError,
+     "dimension mismatch: matrix is (6, 6), space of dims (2,2) is 4"),
+    (lambda: as_complex_matrix(np.ones(3)), ValueError, "expected a 2-D matrix, got ndim=1"),
+    (lambda: hermiticity_defect(np.ones((2, 3))), ValueError, "square matrix required, got (2, 3)"),
+    (lambda: validate_density(np.ones((2, 3))), DensityValidationError,
+     "density matrix must be square, got (2, 3)"),
+], ids=["couple", "exchange", "apply", "model", "block-decompose",
+        "purity-decomposition", "partial-trace", "schmidt", "not-2d", "hermiticity-non-square",
+        "density-non-square"])
+def test_shape_checks_name_the_shape_they_reject(call, error, message):
+    # each check names the shape it rejects; a check against a space's dimension names the space too
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()

@@ -4,6 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from logent.channels import apply_channel
 from logent.classical import partition_entropy, random_partition
 from logent.measurement import (_partition_projectors, entropy_gain, entropy_nondecreasing, project,
                                 projectors_from_partition, purity_decomposition,
@@ -226,6 +227,19 @@ def test_block_diagonal_state_unchanged():
 def test_project_dimension_mismatch():
     with pytest.raises(ValueError, match="dimension mismatch"):
         project(np.eye(3) / 3, projectors_from_partition([[0], [1]], 2))
+
+
+@pytest.mark.parametrize("fn", [apply_channel, project, entropy_gain, entropy_nondecreasing,
+                                purity_decomposition])
+def test_a_state_that_is_not_square_is_a_dimension_mismatch(fn):
+    # a (2, 3) state against qubit operators is refused by the shape gate, not by numpy's matmul
+    with pytest.raises(ValueError, match=r"^dimension mismatch: state is \(2, 3\), "):
+        fn(np.ones((2, 3)) / 2, projectors_from_partition([[0], [1]], 2))
+
+
+def test_an_empty_projector_set_is_named():
+    with pytest.raises(ValueError, match="^empty projector set$"):
+        validate_projectors([])
 
 
 @pytest.mark.parametrize("fn", [entropy_gain, entropy_nondecreasing])

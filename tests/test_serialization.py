@@ -410,3 +410,23 @@ def test_partition_and_distribution_readers_share_the_object_check():
         distribution_from_json({"weights": [1.0]})
     with pytest.raises(ValueError, match=re.escape("distribution object must be a JSON object, got str")):
         distribution_from_json("probs")
+
+
+@pytest.mark.parametrize("read, obj, message", [
+    (partition_from_json, {"blocks": [1]}, "'blocks' must be a list of lists of indices"),
+    (ensemble_from_json, {"weights": 1, "states": []}, "ensemble weights and states must be lists"),
+    (distribution_from_json, {"probs": []}, "'probs' must be a non-empty list of numbers"),
+], ids=["partition", "ensemble", "distribution"])
+def test_readers_name_a_field_of_the_wrong_type(read, obj, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        read(obj)
+
+
+def test_a_short_pair_array_read_from_a_file_names_its_length(tmp_path):
+    # the bulk pair reader hands the array on, and matrix_from_json counts its pairs
+    path = tmp_path / "short.json"
+    path.write_text('{"rows": 2, "cols": 2, "data": [[1, 0], [0, 0], [0, 0]]}', encoding="utf-8")
+    obj = load_json(str(path))
+    assert isinstance(obj["data"], np.ndarray)
+    with pytest.raises(ValueError, match=re.escape("data must hold exactly rows*cols=4 pairs, got 3")):
+        matrix_from_json(obj)
