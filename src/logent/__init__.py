@@ -29,21 +29,4 @@ from .states import (DensityValidationError, NonHermitianError, NonPositiveError
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "amplitude_damping", "channels", "classical", "fuzz", "linalg",
-    "measurement", "mixing", "serialization", "states",
-    "BoundReport", "CouplingModel", "ExchangeReport", "apply_channel",
-    "block_decompose", "completeness_defect", "couple", "exchange_entropy",
-    "extract_kraus", "off_block_bound", "rotate_env_init", "verify_entropy_bound",
-    "bridge_check", "bridge_entropies", "dit_count", "logical_entropy_dist",
-    "partition_entropy", "validate_distribution", "weight_entropy",
-    "partial_trace",
-    "entropy_gain", "entropy_nondecreasing", "project",
-    "projectors_from_partition", "purity_decomposition", "validate_partition",
-    "validate_projectors",
-    "Ensemble", "MixReport", "mix", "mixing_bound_report", "purify",
-    "purify_ensemble", "purification_chain_check", "schmidt_entropy_pair",
-    "DensityValidationError", "NonHermitianError", "NonPositiveError",
-    "TraceError", "density_from_pure", "logical_entropy", "purity",
-    "random_density", "random_pure_state", "random_unitary", "validate_density",
-]
+__all__ = [name for name in dir() if not name.startswith("_")]  # the names the imports bind

@@ -36,7 +36,7 @@ from math import cos, sin
 
 import numpy as np
 
-from .channels import CouplingModel, _bound_report, extract_kraus
+from .channels import CouplingModel, _bound_report, _theorem_holds, extract_kraus
 from .linalg import DEFAULT_TOL, IDENTITY_TOL, ROUNDING_TOL, _require
 from .states import validate_density
 
@@ -88,7 +88,7 @@ class ClosedFormReport:
     bound is the closed form, numeric_bound verify_entropy_bound's bound
     (they agree within 1e-10). entropy_matches_closed_form must
     always hold; bound_holds and projected_equals_bound are only
-    guaranteed under hypothesis_pure.
+    guaranteed under hypothesis_pure; theorem_holds is bound's proof-step verdict at tol.
     """
 
     entropy: float
@@ -101,6 +101,7 @@ class ClosedFormReport:
     entropy_matches_closed_form: bool
     bound_holds: bool
     projected_equals_bound: bool
+    theorem_holds: bool
 
 
 def verify_closed_forms(a: float, b: complex, c: float, theta: float,
@@ -119,4 +120,5 @@ def verify_closed_forms(a: float, b: complex, c: float, theta: float,
         entropy_matches_closed_form=abs(r.entropy - cf_entropy) <= IDENTITY_TOL,
         bound_holds=r.entropy <= cf_bound + ROUNDING_TOL,
         projected_equals_bound=abs(r.projected_entropy - cf_bound) <= IDENTITY_TOL,
+        theorem_holds=_theorem_holds(r, tol),
     )

@@ -121,9 +121,13 @@ def _kraus(model: CouplingModel) -> tuple[np.ndarray, float]:
 
 
 def _operator_stack(ops) -> np.ndarray:
-    """Coerce Kraus operators (a stack or a sequence of matrices) to (k, m, n) complex128."""
+    """Coerce Kraus operators (a stack or a sequence of equally shaped matrices) to (k, m, n) complex128."""
+    shapes = [np.shape(e) for e in ops] if isinstance(ops, (list, tuple)) else []
+    bad = next((i for i, s in enumerate(shapes) if s != shapes[0]), None)
+    if bad is not None:
+        raise ValueError(f"operator {bad} has shape {shapes[bad]}, expected {shapes[0]}")
     ops = np.asarray(ops, dtype=np.complex128)
-    if ops.ndim != 3 or not len(ops):
+    if ops.ndim != 3 or 0 in ops.shape:
         raise ValueError(f"expected a non-empty stack of 2-D matrices, got shape {ops.shape}")
     return ops
 
@@ -157,6 +161,8 @@ def block_decompose(joint, dim_s: int, dim_e: int, tol: float = DEFAULT_TOL) -> 
     (Hermitian within tol, unit trace within tol); blocks[j, i] is then
     the dagger of blocks[i, j].
     """
+    if dim_s < 1 or dim_e < 1:
+        raise ValueError(f"dimensions must be positive, got dim_s={dim_s} dim_e={dim_e}")
     joint = _on_space(as_complex_matrix(joint), dim_s * dim_e, "joint space", "joint state")
     _require(hermiticity_defect(joint), tol, "joint state not Hermitian: defect {:.3e}")
     _require(abs(complex(np.trace(joint)) - 1.0), tol, "joint state trace deviates from 1 by {:.3e}")
@@ -233,6 +239,11 @@ def _bound_report(rho: np.ndarray, ops: np.ndarray, tol: float) -> tuple[BoundRe
         projected_equals_bound=abs(projected - bound) <= tol,
         entropy_le_projected=entropy <= projected + tol,
     ), w
+
+
+def _theorem_holds(r: BoundReport, tol: float) -> bool:
+    """The proof steps at tol: entropy <= projected always; slack >= -tol and projected == bound for pure input."""
+    return r.entropy_le_projected and (not r.hypothesis_pure or r.slack >= -tol and r.projected_equals_bound)
 
 
 def rotate_env_init(model: CouplingModel, env_state) -> CouplingModel:

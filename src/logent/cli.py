@@ -24,7 +24,8 @@ from math import pi
 import numpy as np
 
 from . import amplitude_damping
-from .channels import _kraus, apply_channel, exchange_entropy, extract_kraus, verify_entropy_bound
+from .channels import (_kraus, _theorem_holds, apply_channel, exchange_entropy, extract_kraus,
+                       verify_entropy_bound)
 from .classical import bridge_entropies, validate_distribution
 from .fuzz import SUITES, run_suite
 from .linalg import DEFAULT_TOL, IDENTITY_TOL
@@ -178,10 +179,7 @@ def _cmd_bound(parser, args) -> tuple[int, dict]:
     payload = {"entropy": report.entropy, "bound": report.bound, "slack": report.slack,
                "projected_entropy": report.projected_entropy,
                "hypothesis_pure": report.hypothesis_pure}
-    # the proof steps: entropy <= projected always, projected == bound for pure input
-    broken = not report.entropy_le_projected or report.hypothesis_pure and (
-        not report.slack >= -args.tol or not report.projected_equals_bound)
-    return (EXIT_CONTRADICTION if broken else EXIT_OK), payload
+    return (EXIT_OK if _theorem_holds(report, args.tol) else EXIT_CONTRADICTION), payload
 
 
 def _cmd_apply(parser, args) -> tuple[int, dict]:
@@ -211,7 +209,7 @@ def _cmd_sweep(parser, args) -> tuple[int, str]:
         row = [theta, r.entropy, r.numeric_bound, r.closed_form_entropy, r.bound,
                r.numeric_bound - r.entropy]
         buf.write(",".join(repr(x) for x in row) + "\n")
-        code = code if r.entropy_matches_closed_form else EXIT_CONTRADICTION  # every input must pass it
+        code = code if r.entropy_matches_closed_form and r.theorem_holds else EXIT_CONTRADICTION
     return code, buf.getvalue()
 
 

@@ -28,10 +28,10 @@ pure state), "bridge" (classical partition entropy vs measurement).
 
 Summaries are plain dicts: {suite, trials, failures, worst_slack, seed,
 failed_trials}. worst_slack is the most adverse value seen of the
-suite's primary quantity: the minimum slack for inequality suites, the
-largest residual for identity suites, and null when that is not finite
-(a NaN value wins the fold). Every check is written so that a NaN value
-fails it.
+suite's primary quantity, null when not finite (a NaN value wins the fold):
+the minimum slack for a suite in _SLACK_SUITES, the one place that decides
+it and the suites "all" takes the minimum over, and the largest residual
+for the identity suites. Every check is written so that a NaN fails it.
 """
 from __future__ import annotations
 
@@ -54,6 +54,7 @@ _MAX_COMPONENTS = 6  # largest ensemble drawn by the mixing suite
 _CHUNK = 128  # most trials drawn and evaluated together
 _CHUNK_BYTES = 1 << 23  # and most bytes of the trials' largest stacked arrays
 _GATE_TEXT = np.format_float_scientific(DEFAULT_TOL, trim="-", exp_digits=1)  # "1e-9"
+_SLACK_SUITES = ("theorem", "prop2")  # inequality suites: worst_slack is their minimum slack
 
 
 def _dim(rng: np.random.Generator, dim_max: int) -> int:
@@ -64,7 +65,7 @@ def _dim(rng: np.random.Generator, dim_max: int) -> int:
     return int(rng.integers(lo, dim_max + 1))
 
 
-def _campaign(suite: str, trials: int, seed: int, worst0: float, pick, draw, evaluate) -> dict:
+def _campaign(suite: str, trials: int, seed: int, draw, evaluate) -> dict:
     """Run trials t < trials, each drawn by draw(t, rng) on rng = default_rng(seed + t).
 
     draw returns (key, nbytes, draws), nbytes the size of the trial's
@@ -73,15 +74,16 @@ def _campaign(suite: str, trials: int, seed: int, worst0: float, pick, draw, eva
     (the kernels' temporaries are a few of them). Trials with equal keys
     have draws of equal shapes and are evaluated together by
     evaluate(key, [draws, ...]), which returns (values, checks, inputs)
-    over the group: values, arrays folded
-    in trial order into the running worst with pick (min for slacks, max
-    for residuals), where a NaN wins and then sticks; checks, (ok, message)
+    over the group: values, arrays folded in trial order into the running
+    worst, by min from inf for a suite in _SLACK_SUITES and by max from 0.0
+    for any other, where a NaN wins and then sticks; checks, (ok, message)
     pairs with message(m) the failure text of member m; inputs(m), the JSON
     inputs of a failing member, built for the first _MAX_RECORDED failures.
     When a group raises, the chunk is evaluated again one trial at a time,
     so that the lowest failing trial raises its own error.
     """
-    failures, worst, recorded, t = 0, worst0, [], 0
+    pick, worst = (min, math.inf) if suite in _SLACK_SUITES else (max, 0.0)
+    failures, recorded, t = 0, [], 0
     while t < trials:
         chunk, size = [], 0
         while t < trials and len(chunk) < _CHUNK and size < _CHUNK_BYTES:
@@ -149,7 +151,7 @@ def fuzz_bound(trials: int, dim_s_max: int, dim_e_max: int, seed: int) -> dict:
              lambda m: f"slack {float(slack[m])!r} != off-diagonal weight {float(tight[m])!r} of W"),
         ], lambda m: {"state": matrix_to_json(rho[m]), "model": model_to_json(models[m])}
 
-    return _campaign("theorem", trials, seed, np.inf, min, draw, evaluate)
+    return _campaign("theorem", trials, seed, draw, evaluate)
 
 
 def fuzz_measurement(trials: int, dim_max: int, seed: int) -> dict:
@@ -187,7 +189,7 @@ def fuzz_measurement(trials: int, dim_max: int, seed: int) -> dict:
         return values, checks, lambda m: {"state": matrix_to_json(rho[m]),
                                           "partition": {"blocks": partitions[m]}}
 
-    return _campaign("prop1", trials, seed, 0.0, max, draw, evaluate)
+    return _campaign("prop1", trials, seed, draw, evaluate)
 
 
 def fuzz_mixing(trials: int, dim_max: int, seed: int) -> dict:
@@ -213,7 +215,7 @@ def fuzz_mixing(trials: int, dim_max: int, seed: int) -> dict:
         return [slack], [_slack_check(slack)], lambda m: {"ensemble": {
             "weights": w[m].tolist(), "states": [matrix_to_json(s) for s in members[m, :len(w[m])]]}}
 
-    return _campaign("prop2", trials, seed, np.inf, min, draw, evaluate)
+    return _campaign("prop2", trials, seed, draw, evaluate)
 
 
 def fuzz_schmidt(trials: int, dim_a_max: int, dim_b_max: int, seed: int) -> dict:
@@ -231,7 +233,7 @@ def fuzz_schmidt(trials: int, dim_a_max: int, dim_b_max: int, seed: int) -> dict
                          lambda m: f"reduction entropies differ by {float(diff[m])!r}")], \
             lambda m: {"psi": matrix_to_json(psi[m].reshape(-1, 1)), "dims": list(key)}
 
-    return _campaign("schmidt", trials, seed, 0.0, max, draw, evaluate)
+    return _campaign("schmidt", trials, seed, draw, evaluate)
 
 
 def fuzz_bridge(trials: int, n_max: int, seed: int) -> dict:
@@ -249,7 +251,7 @@ def fuzz_bridge(trials: int, n_max: int, seed: int) -> dict:
         return [diff], [(diff <= IDENTITY_TOL, lambda m: f"bridge residual {float(diff[m])!r}")], \
             lambda m: {"distribution": {"probs": probs[m].tolist()}, "partition": {"blocks": partitions[m]}}
 
-    return _campaign("bridge", trials, seed, 0.0, max, draw, evaluate)
+    return _campaign("bridge", trials, seed, draw, evaluate)
 
 
 # Suite name -> runner on the CLI's knobs: dim_s_max bounds the primary dimension
@@ -272,7 +274,7 @@ def run_suite(suite: str, trials: int, dim_s_max: int, dim_e_max: int, seed: int
         return _RUNNERS[suite](trials, dim_s_max, dim_e_max, seed)
     if suite == "all":
         subs = [_RUNNERS[s](trials, dim_s_max, dim_e_max, seed) for s in SUITES]
-        slacks = [r["worst_slack"] for r in subs if r["suite"] in ("theorem", "prop2")]
+        slacks = [r["worst_slack"] for r in subs if r["suite"] in _SLACK_SUITES]
         return {"suite": "all",
                 "trials": sum(r["trials"] for r in subs),
                 "failures": sum(r["failures"] for r in subs),

@@ -78,6 +78,8 @@ def partial_trace(m, dim_a: int, dim_b: int, keep: str) -> np.ndarray:
 
 def _partial_trace(m: np.ndarray, dim_a: int, dim_b: int, keep: str) -> np.ndarray:
     """partial_trace over any leading axes of m."""
+    if dim_a < 1 or dim_b < 1:
+        raise ValueError(f"dimensions must be positive, got dim_a={dim_a} dim_b={dim_b}")
     _on_space(m, dim_a * dim_b, f"space of dims ({dim_a},{dim_b})", "matrix")
     t = m.reshape(*m.shape[:-2], dim_a, dim_b, dim_a, dim_b)
     if keep == "a":

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import logent.amplitude_damping
+import logent.channels
 import logent.classical
 import logent.cli
 import logent.fuzz
@@ -98,20 +99,30 @@ class TestBound:
         ("plus", {"projected_equals_bound": False}, 2),
         ("mixed", {"projected_equals_bound": False}, 0),
     ])
+    @pytest.mark.parametrize("command,module,argv", [
+        ("bound", logent.channels, ("--channel", "amplitude-damping", "--theta", "0.7")),
+        ("sweep", logent.amplitude_damping, ("--steps", "4")),
+    ], ids=["bound", "sweep"])
     def test_failed_proof_step_exits_2(self, capsys, monkeypatch, plus_state, mixed_state,
-                                       state, change, code):
+                                       command, module, argv, state, change, code):
         # entropy <= projected is guaranteed for every input, projected == bound
-        # only under hypothesis_pure; the payload keys stay the same either way
-        real = logent.cli.verify_entropy_bound
-        monkeypatch.setattr(logent.cli, "verify_entropy_bound",
-                            lambda rho, model, tol: dataclasses.replace(real(rho, model, tol),
-                                                                        **change))
-        got, out, _ = run_cli(capsys, "bound",
-                              "--state", plus_state if state == "plus" else mixed_state,
-                              "--channel", "amplitude-damping", "--theta", "0.7")
-        assert got == code
-        assert set(json.loads(out)) == {"entropy", "bound", "slack", "projected_entropy",
-                                        "hypothesis_pure"}
+        # only under hypothesis_pure; bound and every sweep row read the one verdict,
+        # and the output is written in full either way
+        real = module._bound_report
+
+        def forged(rho, ops, tol):
+            report, w = real(rho, ops, tol)
+            return dataclasses.replace(report, **change), w
+
+        monkeypatch.setattr(module, "_bound_report", forged)
+        got, out, err = run_cli(capsys, command,
+                                "--state", plus_state if state == "plus" else mixed_state, *argv)
+        assert (got, err) == (code, "")
+        if command == "bound":
+            assert set(json.loads(out)) == {"entropy", "bound", "slack", "projected_entropy",
+                                            "hypothesis_pure"}
+        else:
+            assert out.split("\n")[0] == TestSweep.HEADER and out.count("\n") == 5
 
 
 class TestApplyAndKraus:

@@ -39,13 +39,29 @@ def test_trivial_dimension_one():
         assert summary["failures"] == 0
 
 
-def test_trials_split_by_seed():
-    # trial t uses seed + t, so a two-trial run decomposes exactly
-    pair = fuzz_bound(2, 4, 3, seed=10)
-    first = fuzz_bound(1, 4, 3, seed=10)
-    second = fuzz_bound(1, 4, 3, seed=11)
-    assert pair["worst_slack"] == min(first["worst_slack"],
-                                      second["worst_slack"])
+# how each suite folds its trials into worst_slack: inequality suites keep their
+# smallest slack, identity suites their largest residual
+FOLDS = {"theorem": min, "prop1": max, "prop2": min, "schmidt": max, "bridge": max}
+
+
+@pytest.mark.parametrize("suite", SUITES)
+def test_trials_split_by_seed(suite):
+    # trial t uses seed + t, and prop1 and prop2 alternate their draws with t's
+    # parity, so a four-trial run decomposes exactly into two two-trial runs
+    four = run_suite(suite, 4, 4, 3, seed=10)
+    first = run_suite(suite, 2, 4, 3, seed=10)
+    second = run_suite(suite, 2, 4, 3, seed=12)
+    assert first["worst_slack"] != second["worst_slack"]  # so that min and max differ
+    assert four["worst_slack"] == FOLDS[suite](first["worst_slack"],
+                                               second["worst_slack"])
+
+
+def test_all_takes_the_smallest_slack_of_the_inequality_suites():
+    combined = run_suite("all", 4, 4, 3, seed=5)
+    worst = {r["suite"]: r["worst_slack"] for r in combined["suites"]}
+    slacks = [worst[s] for s in SUITES if FOLDS[s] is min]
+    assert len(slacks) == 2 and combined["worst_slack"] == min(slacks)
+    assert min(worst.values()) < combined["worst_slack"]  # a residual is no slack
 
 
 def test_zero_trials_has_null_worst():

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from logent.amplitude_damping import coupling_model
-from logent.channels import (CouplingModel, apply_channel, block_decompose, couple, exchange_entropy,
-                             extract_kraus)
+from logent.channels import (CouplingModel, apply_channel, block_decompose, completeness_defect, couple,
+                             exchange_entropy, extract_kraus)
 from logent.linalg import _require, as_complex_matrix, hermiticity_defect, partial_trace
 from logent.measurement import projectors_from_partition, purity_decomposition, validate_projectors
 from logent.mixing import Ensemble, schmidt_entropy_pair
@@ -108,14 +108,39 @@ QUBIT_PROJECTORS = projectors_from_partition([[0], [1]], 2)
      "dimension mismatch: matrix is (6, 6), space of dims (2,2) is 4"),
     (lambda: schmidt_entropy_pair(np.ones(6) / np.sqrt(6), 2, 2), ValueError,
      "dimension mismatch: matrix is (6, 6), space of dims (2,2) is 4"),
+    (lambda: partial_trace(np.eye(2), -1, -2, keep="a"), ValueError,
+     "dimensions must be positive, got dim_a=-1 dim_b=-2"),
+    (lambda: partial_trace(np.zeros((0, 0)), 0, 5, keep="b"), ValueError,
+     "dimensions must be positive, got dim_a=0 dim_b=5"),
+    (lambda: schmidt_entropy_pair([1, 0, 0, 0], -2, -2), ValueError,
+     "dimensions must be positive, got dim_a=-2 dim_b=-2"),
+    (lambda: block_decompose(np.eye(4) / 4, -2, -2), ValueError,
+     "dimensions must be positive, got dim_s=-2 dim_e=-2"),
+    (lambda: apply_channel(np.eye(2) / 2, [np.eye(2), np.eye(3)]), ValueError,
+     "operator 1 has shape (3, 3), expected (2, 2)"),
+    (lambda: completeness_defect([np.eye(2), np.eye(3)]), ValueError,
+     "operator 1 has shape (3, 3), expected (2, 2)"),
+    (lambda: completeness_defect(np.zeros((1, 2, 0))), ValueError,
+     "expected a non-empty stack of 2-D matrices, got shape (1, 2, 0)"),
+    (lambda: apply_channel(np.eye(2) / 2, np.zeros((1, 0, 2))), ValueError,
+     "expected a non-empty stack of 2-D matrices, got shape (1, 0, 2)"),
     (lambda: as_complex_matrix(np.ones(3)), ValueError, "expected a 2-D matrix, got ndim=1"),
     (lambda: hermiticity_defect(np.ones((2, 3))), ValueError, "square matrix required, got (2, 3)"),
     (lambda: validate_density(np.ones((2, 3))), DensityValidationError,
      "density matrix must be square, got (2, 3)"),
 ], ids=["couple", "exchange", "apply", "model", "block-decompose",
-        "purity-decomposition", "partial-trace", "schmidt", "not-2d", "hermiticity-non-square",
-        "density-non-square"])
+        "purity-decomposition", "partial-trace", "schmidt", "partial-trace-negative-dims",
+        "partial-trace-zero-dim", "schmidt-negative-dims", "block-decompose-negative-dims",
+        "apply-ragged-kraus", "completeness-ragged-kraus", "completeness-zero-width-kraus",
+        "apply-zero-height-kraus", "not-2d", "hermiticity-non-square", "density-non-square"])
 def test_shape_checks_name_the_shape_they_reject(call, error, message):
     # each check names the shape it rejects; a check against a space's dimension names the space too
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         call()
+
+
+def test_a_non_numeric_operator_entry_is_no_shape_error():
+    # the members' shapes agree, so the stack check passes the entry on to numpy's conversion
+    with pytest.raises(ValueError) as info:
+        apply_channel(np.eye(2) / 2, [np.eye(2), [["x", 0], [0, 1]]])
+    assert "shape" not in str(info.value)
