@@ -88,16 +88,15 @@ class CouplingModel:
         object.__setattr__(self, "unitary", u)
 
 
-def _isometry(model: CouplingModel) -> np.ndarray:
-    """V = U (|e0> (x) I_S): the env_init block column of U."""
-    ds = model.dim_s
-    return model.unitary[:, model.env_init * ds:(model.env_init + 1) * ds]
+def _kraus_stack(u: np.ndarray, ds: int, env_init: int = 0) -> np.ndarray:
+    """E_i = <i| U |e0> as (..., dim_e, ds, ds) views of unitaries u (..., n, n): the env_init block column."""
+    return u[..., env_init * ds:(env_init + 1) * ds].reshape(*u.shape[:-2], -1, ds, ds)
 
 
 def couple(rho, model: CouplingModel) -> np.ndarray:
-    """Joint state U (|e0><e0| (x) rho) U† = V rho V† on E (x) S."""
+    """Joint state U (|e0><e0| (x) rho) U† = V rho V† on E (x) S, V = U (|e0> (x) I_S) the stacked E_i."""
     rho = _on_space(as_complex_matrix(rho), model.dim_s, "model system side")
-    v = _isometry(model)
+    v = _kraus_stack(model.unitary, model.dim_s, model.env_init).reshape(-1, model.dim_s)
     return v @ rho @ v.conj().T
 
 
@@ -114,7 +113,7 @@ def extract_kraus(model: CouplingModel) -> np.ndarray:
 
 def _kraus(model: CouplingModel) -> tuple[np.ndarray, float]:
     """extract_kraus's operators and the completeness defect they were checked with."""
-    ops = _isometry(model).reshape(model.dim_e, model.dim_s, model.dim_s)
+    ops = _kraus_stack(model.unitary, model.dim_s, model.env_init)
     defect = _gram_defect(ops.reshape(-1, model.dim_s).conj().T)  # completeness_defect(ops), not re-coerced
     _require(defect, DEFAULT_TOL, "Kraus completeness violated: sum E†E deviates from I by {:.3e}")
     return ops, defect
@@ -122,10 +121,14 @@ def _kraus(model: CouplingModel) -> tuple[np.ndarray, float]:
 
 def _operator_stack(ops) -> np.ndarray:
     """Coerce Kraus operators (a stack or a sequence of equally shaped matrices) to (k, m, n) complex128."""
-    shapes = [np.shape(e) for e in ops] if isinstance(ops, (list, tuple)) else []
-    bad = next((i for i, s in enumerate(shapes) if s != shapes[0]), None)
-    if bad is not None:
-        raise ValueError(f"operator {bad} has shape {shapes[bad]}, expected {shapes[0]}")
+    shapes = []
+    for i, e in enumerate(ops if isinstance(ops, (list, tuple)) else ()):
+        try:
+            shapes.append(np.shape(e))
+        except ValueError:  # numpy's error for nested rows of unequal length
+            raise ValueError(f"operator {i} is not a matrix: its rows differ in length") from None
+        if shapes[i] != shapes[0]:
+            raise ValueError(f"operator {i} has shape {shapes[i]}, expected {shapes[0]}")
     ops = np.asarray(ops, dtype=np.complex128)
     if ops.ndim != 3 or 0 in ops.shape:
         raise ValueError(f"expected a non-empty stack of 2-D matrices, got shape {ops.shape}")
@@ -181,6 +184,12 @@ def _block_weights(rho: np.ndarray, ops: np.ndarray) -> np.ndarray:
     x = ops.conj().swapaxes(-1, -2) @ ops @ rho[..., None, :, :]
     rows = x.shape[:-2]
     return x.reshape(*rows, -1) @ x.swapaxes(-1, -2).reshape(*rows, -1).swapaxes(-1, -2)
+
+
+def _env_state(rho: np.ndarray, ops: np.ndarray) -> np.ndarray:
+    """W_ij = tr(E_i rho E_j†), the environment's state, over stacks: rho (..., n, n) and ops (..., k, m, n)."""
+    flat = ops.reshape(*ops.shape[:-2], -1)
+    return (ops @ rho[..., None, :, :]).reshape(flat.shape) @ flat.conj().swapaxes(-1, -2)
 
 
 def off_block_bound(blocks: np.ndarray) -> float:
@@ -297,8 +306,7 @@ def exchange_entropy(rho, model: CouplingModel, tol: float = DEFAULT_TOL) -> Exc
     is sum_{i != j} W_ii W_jj. The purification is never built.
     """
     rho = _on_space(validate_density(rho, tol=tol), model.dim_s, "model system side")
-    ops = extract_kraus(model)
-    w = (ops @ rho).reshape(model.dim_e, -1) @ ops.reshape(model.dim_e, -1).conj().T
+    w = _env_state(rho, extract_kraus(model))
     _require(abs(complex(np.trace(w)) - 1.0), tol, "environment state trace deviates from 1 by {:.3e}")
     p = w.diagonal().real
     bound = float(np.outer(p, p)[~np.eye(model.dim_e, dtype=bool)].sum())

@@ -2,9 +2,10 @@
 
 Each suite replays one identity or inequality across many seeded random
 instances. Determinism contract: trial t of a campaign with root seed s
-uses exactly numpy's default_rng(s + t), so any failing trial can be
-regenerated from the summary alone, and trials could be farmed out in
-parallel without changing the outcome.
+uses exactly numpy's default_rng(s + t), and trials could be farmed out
+in parallel without changing the outcome. Trial t replays as the last
+trial of --seed s --trials t+1; --seed s+t --trials 1 would redraw a
+prop1 or prop2 trial as the other kind, which they take from t % 2.
 
 A campaign runs in chunks of trials, bounded in count and in the bytes
 of their largest arrays. Each chunk's trials are drawn in trial order,
@@ -17,9 +18,7 @@ with zero-weight zero members, which leave every sum as it is; its
 partition projectors are checked as partitions, the data they are built
 from, rather than pair by pair. A theorem trial reads its unitary's and
 its state's Gaussians, and a prop2 trial all its members', in one read of
-the stream: the numbers separate draws would give. A theorem trial calls
-the public CouplingModel and verify_entropy_bound it checks, and its slack
-must equal sum_{i != j} |W_ij|^2, W the Gram matrix of the E_i psi.
+the stream: the numbers separate draws would give.
 
 Suite names follow the command-line interface: "theorem" (the off-block
 bound), "prop1" (measurement purity bookkeeping), "prop2" (the mixing
@@ -39,7 +38,7 @@ import math
 
 import numpy as np
 
-from .channels import CouplingModel, _channel, verify_entropy_bound
+from .channels import CouplingModel, _channel, _env_state, _kraus_stack, verify_entropy_bound
 from .classical import _bridges, random_distribution, random_partition, validate_distribution
 from .linalg import DEFAULT_TOL, IDENTITY_TOL
 from .measurement import (_entropy_gains, _nondecreasing, _partition_projectors, _purity_split,
@@ -124,9 +123,9 @@ def fuzz_bound(trials: int, dim_s_max: int, dim_e_max: int, seed: int) -> dict:
     Checks per trial: slack >= -1e-9, the report's two proof steps
     (projected entropy equals the bound, output entropy does not exceed
     the projected entropy, both within verify_entropy_bound's tol), and
-    slack = sum_{i != j} |<E_j psi|E_i psi>|^2 within 1e-10, which a bound
-    that is too loose fails. Each trial's model and report come from the
-    public CouplingModel and verify_entropy_bound, the functions checked.
+    slack = sum_{i != j} |W_ij|^2 (W exchange_entropy's environment state)
+    within 1e-10, which a bound that is too loose fails. Each trial's model
+    and report come from the public CouplingModel and verify_entropy_bound.
     """
     def draw(t, rng):
         ds, de = _dim(rng, dim_s_max), _dim(rng, dim_e_max)
@@ -139,8 +138,7 @@ def fuzz_bound(trials: int, dim_s_max: int, dim_e_max: int, seed: int) -> dict:
         models, rho = [CouplingModel(x, dim_s=ds, dim_e=de) for x in u], _pure_densities(psi)
         r = [verify_entropy_bound(x, model) for x, model in zip(rho, models)]
         slack = np.array([x.slack for x in r])
-        phi = (u[:, :, :ds].reshape(-1, de, ds, ds) @ psi[:, None, :, None])[..., 0]  # E_i psi
-        tight = (np.abs(phi @ phi.conj().swapaxes(1, 2))[:, ~np.eye(de, dtype=bool)] ** 2).sum(axis=1)
+        tight = (np.abs(_env_state(rho, _kraus_stack(u, ds)))[:, ~np.eye(de, dtype=bool)] ** 2).sum(axis=1)
         return [slack], [
             _slack_check(slack),
             ([x.projected_equals_bound for x in r],
@@ -166,6 +164,7 @@ def fuzz_measurement(trials: int, dim_max: int, seed: int) -> dict:
         dim = _dim(rng, dim_max)
         state = _gaussian(dim if t % 2 else (dim, dim), rng)
         blocks = random_partition(dim, rng)
+        # keyed on block count: zero-padding projectors to merge groups changes _block_weights' bits
         return (dim, len(blocks), t % 2 == 1), 16 * len(blocks) * dim * dim, (state, blocks)
 
     def evaluate(key, draws):

@@ -33,10 +33,10 @@ class Ensemble:
     """
 
     weights: np.ndarray
-    states: tuple
+    states: np.ndarray  # the checked members, one read-only complex (m, d, d) array
 
     def __post_init__(self):
-        states = tuple(validate_density(s) for s in self.states)
+        states = [validate_density(s) for s in self.states]
         w = validate_distribution(self.weights)
         if w.shape[0] != len(states):
             raise ValueError(f"{w.shape[0]} weights for {len(states)} states")
@@ -44,9 +44,9 @@ class Ensemble:
         for k, s in enumerate(states):
             if s.shape != (dim, dim):
                 raise ValueError(f"state {k} has shape {s.shape}, expected {(dim, dim)}")
-        w.setflags(write=False)
-        object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "states", states)
+        for name, a in (("weights", w), ("states", np.array(states))):
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
 
     @property
     def dim(self) -> int:
@@ -58,7 +58,7 @@ class Ensemble:
 
 def mix(ensemble: Ensemble) -> np.ndarray:
     """The mixture sum_i p_i rho_i."""
-    return _running_sums((ensemble.weights[:, None, None] * np.array(ensemble.states))[None])[0]
+    return _running_sums((ensemble.weights[:, None, None] * ensemble.states)[None])[0]
 
 
 def _running_sums(terms: np.ndarray) -> np.ndarray:
@@ -88,13 +88,13 @@ class MixReport:
 def orthogonal_support(ensemble: Ensemble, tol: float = IDENTITY_TOL) -> bool:
     """Whether all component pairs overlap less than tol in tr(rho_i rho_j). Each member is
     compared with all its successors at once, so no array outgrows the ensemble."""
-    f = np.array(ensemble.states).reshape(len(ensemble), -1)
+    f = ensemble.states.reshape(len(ensemble), -1)
     return not any((np.abs(_dots(f[i + 1:], f[i])) >= tol).any() for i in range(len(f) - 1))
 
 
 def mixing_bound_report(ensemble: Ensemble) -> MixReport:
     """Evaluate both sides of the mixing entropy bound."""
-    lhs, rhs, h_w = (x.item() for x in _mixing_bounds(ensemble.weights[None], np.array([ensemble.states])))
+    lhs, rhs, h_w = (x.item() for x in _mixing_bounds(ensemble.weights[None], ensemble.states[None]))
     return MixReport(mixture_entropy=lhs, bound=rhs, slack=rhs - lhs, weight_entropy=h_w,
                      orthogonal_support=orthogonal_support(ensemble))
 
@@ -131,14 +131,12 @@ def purify_ensemble(ensemble: Ensemble, tol: float = DEFAULT_TOL) -> np.ndarray:
     B-side reduction has entries <psi_j|psi_i> sqrt(p_i p_j). Members
     must be pure (largest eigenvalue within tol of 1).
     """
-    tops = []
-    for i, s in enumerate(ensemble.states):
-        evals, evecs = np.linalg.eigh(s)
-        _require(1.0 - float(evals[-1]), tol, "ensemble member {1} is not pure: largest eigenvalue {2:.12g}",
-                 i, float(evals[-1]))
-        tops.append(evecs[:, -1])
+    evals, evecs = np.linalg.eigh(ensemble.states)
+    i = int(np.argmin(1.0 - evals[:, -1] <= tol))  # the first impure member, or 0 when all are pure
+    _require(1.0 - evals[i, -1], tol, "ensemble member {1} is not pure: largest eigenvalue {2:.12g}",
+             i, evals[i, -1])
     # Entry (s, i) of the S x B coefficient matrix is sqrt(p_i) psi_i[s].
-    return (np.stack(tops, axis=1) * np.sqrt(ensemble.weights)).reshape(-1)
+    return (evecs[:, :, -1].T * np.sqrt(ensemble.weights)).reshape(-1)
 
 
 def schmidt_entropy_pair(psi, dim_a: int, dim_b: int) -> tuple[float, float]:
@@ -165,15 +163,12 @@ def purification_chain_check(ensemble: Ensemble, tol: float = DEFAULT_TOL) -> bo
     h(rho_B) <= h(diag(rho_B))  (measuring in the record basis),
     h(diag(rho_B)) == h(p)  (the diagonal of rho_B is exactly p).
     """
-    n = len(ensemble)
-    d = ensemble.dim
-    psi = purify_ensemble(ensemble, tol=tol)
-    rho_sb = density_from_pure(psi)
+    n, d = ensemble.states.shape[:2]
+    rho_sb = density_from_pure(purify_ensemble(ensemble, tol=tol))
     h_mix = logical_entropy(mix(ensemble))
     rho_b = partial_trace(rho_sb, d, n, keep="b")
     h_b = logical_entropy(rho_b)
-    measured = project(rho_b, projectors_from_partition([[i] for i in range(n)], n))
-    h_diag = logical_entropy(measured)
+    h_diag = logical_entropy(project(rho_b, projectors_from_partition([[i] for i in range(n)], n)))
     h_w = weight_entropy(ensemble.weights)
     return (abs(h_mix - h_b) <= tol) and (h_b <= h_diag + tol) and (abs(h_diag - h_w) <= tol)
 
@@ -184,7 +179,7 @@ def random_ensemble(dim: int, n: int, seed, pure: bool = True) -> Ensemble:
     pure=True draws Gaussian unit vectors; otherwise Ginibre mixed states.
     """
     w, draws = _draw_ensemble(dim, n, _rng(seed), pure)
-    return Ensemble(weights=w, states=tuple(_random_states(draws, pure)))
+    return Ensemble(weights=w, states=_random_states(draws, pure))
 
 
 def _draw_ensemble(dim: int, n: int, rng: np.random.Generator, pure: bool):

@@ -175,6 +175,51 @@ def test_one_nan_slack_wins_the_fold(monkeypatch):
     assert summary["worst_slack"] is None  # one NaN among finite slacks still wins
 
 
+def test_the_gram_identity_reads_the_environment_state_exchange_reads(monkeypatch):
+    # the theorem suite's slack == sum_{i != j} |W_ij|^2 reads exchange_entropy's W helper,
+    # so a W that drops its conjugate fails the campaign, which passes with the real one
+    assert logent.fuzz._env_state is logent.channels._env_state
+    assert fuzz_bound(50, 4, 3, 0)["failures"] == 0
+
+    def no_conj(rho, ops):
+        flat = ops.reshape(*ops.shape[:-2], -1)
+        return (ops @ rho[..., None, :, :]).reshape(flat.shape) @ flat.swapaxes(-1, -2)
+
+    monkeypatch.setattr(logent.fuzz, "_env_state", no_conj)
+    summary = fuzz_bound(50, 4, 3, 0)
+    assert summary["failures"] > 0
+    for record in summary["failed_trials"]:
+        (check,) = record["checks"]
+        assert "!= off-diagonal weight" in check and check.endswith(" of W")
+
+
+@pytest.mark.parametrize("suite, kernel", [("prop1", "_purity_split"), ("prop2", "_mixing_bounds")])
+def test_an_odd_trial_replays_as_the_last_trial_of_a_run_one_trial_longer(suite, kernel, monkeypatch):
+    # trial t of seed s replays as the last trial of --seed s --trials t+1; prop1 and prop2 take
+    # a trial's kind from t % 2, so --seed s+t --trials 1 draws trial t's seed as the other kind
+    real = getattr(logent.fuzz, kernel)
+
+    def broken(*args):  # every trial fails its first check, so each records its inputs
+        first, *rest = real(*args)
+        return (first + 1.0, *rest)
+
+    monkeypatch.setattr(logent.fuzz, kernel, broken)
+    s, t = 10, 1
+    original = run_suite(suite, 3, 4, 3, s)["failed_trials"][t]
+    replay = run_suite(suite, t + 1, 4, 3, s)["failed_trials"][-1]
+    shifted = run_suite(suite, 1, 4, 3, s + t)["failed_trials"][0]
+    assert replay == original and (replay["trial"], replay["seed"]) == (t, s + t)
+    assert shifted["seed"] == s + t
+
+    def first_purity(record):  # prop1's odd trials draw a pure state, prop2's odd trials mixed members
+        m = record["state"] if suite == "prop1" else record["ensemble"]["states"][0]
+        return purity(matrix_from_json(m))
+
+    pure_odd = suite == "prop1"
+    assert (first_purity(replay) == pytest.approx(1.0)) == pure_odd
+    assert (first_purity(shifted) == pytest.approx(1.0)) != pure_odd
+
+
 # The serial oracle: each suite's trials one at a time through the public
 # per-instance functions, on the same default_rng(seed + t) draws, folded in
 # trial order. run_suite must give exactly its summaries.

@@ -120,6 +120,10 @@ QUBIT_PROJECTORS = projectors_from_partition([[0], [1]], 2)
      "operator 1 has shape (3, 3), expected (2, 2)"),
     (lambda: completeness_defect([np.eye(2), np.eye(3)]), ValueError,
      "operator 1 has shape (3, 3), expected (2, 2)"),
+    (lambda: apply_channel(np.eye(2) / 2, [np.eye(2), [[1, 0], [0]]]), ValueError,
+     "operator 1 is not a matrix: its rows differ in length"),
+    (lambda: completeness_defect([[[1, 0], [0]], np.eye(2)]), ValueError,
+     "operator 0 is not a matrix: its rows differ in length"),
     (lambda: completeness_defect(np.zeros((1, 2, 0))), ValueError,
      "expected a non-empty stack of 2-D matrices, got shape (1, 2, 0)"),
     (lambda: apply_channel(np.eye(2) / 2, np.zeros((1, 0, 2))), ValueError,
@@ -131,7 +135,8 @@ QUBIT_PROJECTORS = projectors_from_partition([[0], [1]], 2)
 ], ids=["couple", "exchange", "apply", "model", "block-decompose",
         "purity-decomposition", "partial-trace", "schmidt", "partial-trace-negative-dims",
         "partial-trace-zero-dim", "schmidt-negative-dims", "block-decompose-negative-dims",
-        "apply-ragged-kraus", "completeness-ragged-kraus", "completeness-zero-width-kraus",
+        "apply-ragged-kraus", "completeness-ragged-kraus", "apply-ragged-kraus-member",
+        "completeness-ragged-kraus-member", "completeness-zero-width-kraus",
         "apply-zero-height-kraus", "not-2d", "hermiticity-non-square", "density-non-square"])
 def test_shape_checks_name_the_shape_they_reject(call, error, message):
     # each check names the shape it rejects; a check against a space's dimension names the space too

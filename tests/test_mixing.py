@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -7,8 +9,8 @@ from logent.linalg import partial_trace
 from logent.mixing import (Ensemble, _mixing_bounds, mix, mixing_bound_report, orthogonal_support,
                            purification_chain_check, purify, purify_ensemble,
                            random_ensemble, schmidt_entropy_pair, weight_entropy)
-from logent.states import (_random_states, density_from_pure, logical_entropy, random_density,
-                           random_pure_state)
+from logent.states import (NonHermitianError, _random_states, density_from_pure, logical_entropy,
+                           random_density, random_pure_state)
 
 
 def two_state_ensemble():
@@ -37,6 +39,34 @@ class TestEnsemble:
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             Ensemble([], [])
+
+    @pytest.mark.parametrize("container", [list, tuple, np.array])
+    def test_members_are_one_read_only_complex_stack(self, container):
+        members = [density_from_pure([1, 0]), np.eye(2) / 2, [[0.5, 0.5], [0.5, 0.5]]]
+        given = container(members)
+        ens = Ensemble([0.2, 0.3, 0.5], given)
+        assert type(ens.states) is np.ndarray
+        assert ens.states.dtype == np.complex128 and ens.states.shape == (3, 2, 2)
+        assert not ens.states.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            ens.states[0, 0, 0] = 0.0
+        npt.assert_array_equal(ens.states, np.array(members, dtype=complex))
+        if isinstance(given, np.ndarray):  # the stack is the ensemble's own copy
+            given[0, 0, 0] = 7.0
+        assert ens.states[0, 0, 0] == 1.0
+        assert (len(ens), ens.dim) == (3, 2)
+
+    def test_two_faults_report_the_first_check(self):
+        # members are checked first, then the weights, then the count, then the shapes
+        rho, qutrit, skew = density_from_pure([1, 0]), np.eye(3) / 3, [[0.5, 1.0], [0.0, 0.5]]
+        with pytest.raises(NonHermitianError):  # a bad member beats bad weights
+            Ensemble([0.6, 0.6], [rho, skew])
+        with pytest.raises(ValueError, match="^probabilities sum to 1.2,"):  # bad weights beat a count mismatch
+            Ensemble([0.6, 0.6], [rho, rho, rho])
+        with pytest.raises(ValueError, match="^3 weights for 2 states$"):  # a count mismatch beats a shape one
+            Ensemble([1 / 3, 1 / 3, 1 / 3], [rho, qutrit])
+        with pytest.raises(ValueError, match=f"^{re.escape('state 1 has shape (3, 3), expected (2, 2)')}$"):
+            Ensemble([0.5, 0.5], [rho, qutrit])
 
 
 class TestMix:
@@ -162,6 +192,16 @@ class TestPurifyEnsemble:
                        [np.eye(2, dtype=complex) / 2, density_from_pure([1, 0])])
         with pytest.raises(ValueError, match="pure"):
             purify_ensemble(ens)
+
+    def test_the_first_impure_member_is_named(self):
+        pure, half, third = density_from_pure([1, 0]), np.diag([0.5, 0.5]), np.diag([2 / 3, 1 / 3])
+        ens = Ensemble([0.25, 0.25, 0.25, 0.25], [pure, pure, half, third])
+        with pytest.raises(ValueError, match="^ensemble member 2 is not pure: largest eigenvalue 0.5$"):
+            purify_ensemble(ens)
+        # within tol of pure passes; the stacked eigensolver gives each member's own vectors
+        ens = random_ensemble(3, 5, 4)
+        want = [np.linalg.eigh(s)[1][:, -1] for s in ens.states]
+        npt.assert_array_equal(purify_ensemble(ens), (np.stack(want, axis=1) * np.sqrt(ens.weights)).reshape(-1))
 
 
 class TestSchmidt:
