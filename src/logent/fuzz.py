@@ -18,7 +18,9 @@ with zero-weight zero members, which leave every sum as it is; its
 partition projectors are checked as partitions, the data they are built
 from, rather than pair by pair. A theorem trial reads its unitary's and
 its state's Gaussians, and a prop2 trial all its members', in one read of
-the stream: the numbers separate draws would give.
+the stream: the numbers separate draws would give. A theorem trial calls
+the public CouplingModel and verify_entropy_bound it checks, and its slack
+must equal sum_{i != j} |W_ij|^2, W exchange_entropy's environment state.
 
 Suite names follow the command-line interface: "theorem" (the off-block
 bound), "prop1" (measurement purity bookkeeping), "prop2" (the mixing

@@ -44,9 +44,11 @@ class Ensemble:
         for k, s in enumerate(states):
             if s.shape != (dim, dim):
                 raise ValueError(f"state {k} has shape {s.shape}, expected {(dim, dim)}")
-        for name, a in (("weights", w), ("states", np.array(states))):
-            a.setflags(write=False)
-            object.__setattr__(self, name, a)
+        states = np.array(states)
+        w.setflags(write=False)
+        states.setflags(write=False)
+        object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "states", states)
 
     @property
     def dim(self) -> int:
@@ -163,12 +165,15 @@ def purification_chain_check(ensemble: Ensemble, tol: float = DEFAULT_TOL) -> bo
     h(rho_B) <= h(diag(rho_B))  (measuring in the record basis),
     h(diag(rho_B)) == h(p)  (the diagonal of rho_B is exactly p).
     """
-    n, d = ensemble.states.shape[:2]
-    rho_sb = density_from_pure(purify_ensemble(ensemble, tol=tol))
+    n = len(ensemble)
+    d = ensemble.dim
+    psi = purify_ensemble(ensemble, tol=tol)
+    rho_sb = density_from_pure(psi)
     h_mix = logical_entropy(mix(ensemble))
     rho_b = partial_trace(rho_sb, d, n, keep="b")
     h_b = logical_entropy(rho_b)
-    h_diag = logical_entropy(project(rho_b, projectors_from_partition([[i] for i in range(n)], n)))
+    measured = project(rho_b, projectors_from_partition([[i] for i in range(n)], n))
+    h_diag = logical_entropy(measured)
     h_w = weight_entropy(ensemble.weights)
     return (abs(h_mix - h_b) <= tol) and (h_b <= h_diag + tol) and (abs(h_diag - h_w) <= tol)
 

@@ -128,10 +128,12 @@ def partition_from_json(obj) -> list[list[int]]:
 
 def ensemble_from_json(obj) -> Ensemble:
     _json_object(obj, "ensemble", "weights", "states")
-    weights, states = obj["weights"], obj["states"]
+    weights = obj["weights"]
+    states = obj["states"]
     if not isinstance(weights, list) or not isinstance(states, list):
         raise ValueError("ensemble weights and states must be lists")
-    return Ensemble(weights=_float_list(weights, "weight"), states=[matrix_from_json(s) for s in states])
+    return Ensemble(weights=_float_list(weights, "weight"),
+                    states=tuple(matrix_from_json(s) for s in states))
 
 
 def distribution_from_json(obj) -> np.ndarray:
