@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, NORM_TOL, _on_space, _require, as_complex_matrix, hermiticity_defect
+from .linalg import DEFAULT_TOL, NORM_TOL, _hermiticity_defects, _on_space, _require, as_complex_matrix
 from .states import _norms, _purities, validate_density
 
 _GRAM_ROWS = 128  # rows of A per block of the Gram-defect walk
@@ -77,9 +77,7 @@ class CouplingModel:
             if isinstance(v, bool) or not isinstance(v, (int, np.integer)):  # np.bool_ is no np.integer
                 raise ValueError(f"model {name} must be an integer, got {v!r}")
         u = as_complex_matrix(self.unitary)
-        if self.dim_s < 1 or self.dim_e < 1:
-            raise ValueError(f"dimensions must be positive, got dim_s={self.dim_s} dim_e={self.dim_e}")
-        _on_space(u, self.dim_s * self.dim_e, "joint space", "unitary")
+        _on_space(u, self.dim_s * self.dim_e, "joint space", "unitary", dim_s=self.dim_s, dim_e=self.dim_e)
         _require(_gram_defect(u), DEFAULT_TOL, "matrix is not unitary: U U† deviates from I by {:.3e}")
         if not 0 <= self.env_init < self.dim_e:
             raise ValueError(f"env_init {self.env_init} outside [0, {self.dim_e})")
@@ -114,7 +112,7 @@ def extract_kraus(model: CouplingModel) -> np.ndarray:
 def _kraus(model: CouplingModel) -> tuple[np.ndarray, float]:
     """extract_kraus's operators and the completeness defect they were checked with."""
     ops = _kraus_stack(model.unitary, model.dim_s, model.env_init)
-    defect = _gram_defect(ops.reshape(-1, model.dim_s).conj().T)  # completeness_defect(ops), not re-coerced
+    defect = completeness_defect(ops)
     _require(defect, DEFAULT_TOL, "Kraus completeness violated: sum E†E deviates from I by {:.3e}")
     return ops, defect
 
@@ -164,10 +162,8 @@ def block_decompose(joint, dim_s: int, dim_e: int, tol: float = DEFAULT_TOL) -> 
     (Hermitian within tol, unit trace within tol); blocks[j, i] is then
     the dagger of blocks[i, j].
     """
-    if dim_s < 1 or dim_e < 1:
-        raise ValueError(f"dimensions must be positive, got dim_s={dim_s} dim_e={dim_e}")
-    joint = _on_space(as_complex_matrix(joint), dim_s * dim_e, "joint space", "joint state")
-    _require(hermiticity_defect(joint), tol, "joint state not Hermitian: defect {:.3e}")
+    joint = _on_space(as_complex_matrix(joint), dim_s * dim_e, "joint space", "joint state", dim_s=dim_s, dim_e=dim_e)
+    _require(_hermiticity_defects(joint), tol, "joint state not Hermitian: defect {:.3e}")
     _require(abs(complex(np.trace(joint)) - 1.0), tol, "joint state trace deviates from 1 by {:.3e}")
     return joint.reshape(dim_e, dim_s, dim_e, dim_s).swapaxes(1, 2)
 

@@ -129,11 +129,11 @@ def _load_state(args):
 
 
 def _load_model(parser, args):
-    if getattr(args, "model", None) and getattr(args, "channel", None):
+    if args.model and args.channel:
         parser.error("give either --model or --channel, not both")
-    if getattr(args, "model", None):
+    if args.model:
         return model_from_json(load_json(args.model))
-    if getattr(args, "channel", None):
+    if args.channel:
         if args.theta is None:
             parser.error("--channel requires --theta")
         return amplitude_damping.coupling_model(args.theta)

@@ -7,8 +7,8 @@ slowest, so the joint index is i_a * dim_b + i_b.
 The tolerance policy is four names that every module reads: DEFAULT_TOL,
 IDENTITY_TOL, ROUNDING_TOL and NORM_TOL. Three gates check input: a scalar
 check that raises goes through _require, a stacked one through _first, and a
-NaN fails both; a matrix checked against a space's dimension goes through
-_on_space.
+NaN fails both; a matrix's shape against a space's dimension and the
+positivity of a joint space's factor dimensions are checked by _on_space.
 """
 from __future__ import annotations
 
@@ -26,8 +26,10 @@ def _require(value: float, tol: float, message: str, *args, error: type = ValueE
         raise error(message.format(value, *args))
 
 
-def _on_space(m: np.ndarray, n: int, space: str, what: str = "state") -> np.ndarray:
-    """m, after checking that its last two axes are n x n, n being the dimension of space."""
+def _on_space(m: np.ndarray, n: int, space: str, what: str = "state", **dims: int) -> np.ndarray:
+    """m, after checking that dims, a joint space's factor dimensions, are positive and m's last two axes n x n."""
+    if dims and any(d < 1 for d in dims.values()):
+        raise ValueError("dimensions must be positive, got " + " ".join(f"{k}={d}" for k, d in dims.items()))
     if m.shape[-2:] != (n, n):
         raise ValueError(f"dimension mismatch: {what} is {m.shape}, {space} is {n}")
     return m
@@ -35,6 +37,10 @@ def _on_space(m: np.ndarray, n: int, space: str, what: str = "state") -> np.ndar
 
 def as_complex_matrix(m) -> np.ndarray:
     """Coerce to a 2-D complex128 array (no copy when already one)."""
+    try:
+        np.shape(m)
+    except ValueError:  # numpy's error for nested rows of unequal length
+        raise ValueError("expected a 2-D matrix, got rows of unequal length") from None
     out = np.asarray(m, dtype=np.complex128)
     if out.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got ndim={out.ndim}")
@@ -78,9 +84,7 @@ def partial_trace(m, dim_a: int, dim_b: int, keep: str) -> np.ndarray:
 
 def _partial_trace(m: np.ndarray, dim_a: int, dim_b: int, keep: str) -> np.ndarray:
     """partial_trace over any leading axes of m."""
-    if dim_a < 1 or dim_b < 1:
-        raise ValueError(f"dimensions must be positive, got dim_a={dim_a} dim_b={dim_b}")
-    _on_space(m, dim_a * dim_b, f"space of dims ({dim_a},{dim_b})", "matrix")
+    _on_space(m, dim_a * dim_b, f"space of dims ({dim_a},{dim_b})", "matrix", dim_a=dim_a, dim_b=dim_b)
     t = m.reshape(*m.shape[:-2], dim_a, dim_b, dim_a, dim_b)
     if keep == "a":
         return np.trace(t, axis1=-3, axis2=-1)

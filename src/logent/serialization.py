@@ -12,8 +12,8 @@ padded or truncated. The other formats compose that one:
 
 Every entry of `data`, `weights` and `probs` is a finite JSON number that
 fits a float64 (integers are accepted); booleans, strings, null, NaN and
-Infinity are rejected with a ValueError naming the entry. Types are
-checked once per distinct type and the numbers converted in bulk.
+Infinity are rejected with a ValueError naming the entry: `weights` and
+`probs` are checked entry by entry, `data` once per distinct type, in bulk.
 load_json returns each `data` array of number pairs as a read-only (n, 2)
 float64 array, never a list per pair, and matrix_from_json takes it as it
 is; input it rejects fails with the same messages as plain JSON.
@@ -47,15 +47,13 @@ def _finite_array(values) -> np.ndarray | None:
 
 
 def _float_list(values: list, name: str) -> np.ndarray:
-    """1-D float64 array of a list of finite numbers; the scan runs only to name a bad entry."""
-    out = _finite_array(values) if _numbers(values) else None
-    if out is None:
-        for x in values:
-            if not _numbers([x]):
-                raise ValueError(f"{name} {x!r} is not a number")
-            if _finite_array([x]) is None:
-                raise ValueError(f"{name} {x!r} is not a finite float64")
-    return out
+    """1-D float64 array of a short list of finite numbers, checked entry by entry to name the first bad one."""
+    for x in values:
+        if not _numbers([x]):
+            raise ValueError(f"{name} {x!r} is not a number")
+        if _finite_array([x]) is None:
+            raise ValueError(f"{name} {x!r} is not a finite float64")
+    return np.array(values, dtype=np.float64)
 
 
 def _json_object(obj, kind: str, *keys: str) -> None:

@@ -146,6 +146,17 @@ class TestApplyAndKraus:
                        payload["operators"][1]["data"]]).reshape(2, 2)
         np.testing.assert_allclose(e1, [[0, 1], [0, 0]], atol=1e-12)
 
+    @pytest.mark.parametrize("ds, de, env_init, seed", [(2, 2, 1, 0), (3, 4, 2, 1), (6, 4, 3, 2), (5, 3, 1, 3)])
+    def test_kraus_reports_completeness_defect_of_its_operators(self, capsys, tmp_path, ds, de, env_init, seed):
+        # the printed defect is completeness_defect's own, bit for bit, at a non-default env_init
+        model = CouplingModel(random_unitary(ds * de, seed), dim_s=ds, dim_e=de, env_init=env_init)
+        path = write_json(tmp_path / "model.json", model_to_json(model))
+        code, out, _ = run_cli(capsys, "kraus", "--model", path)
+        assert code == 0
+        want = logent.channels.completeness_defect(logent.channels.extract_kraus(model))
+        assert json.loads(out)["completeness_defect"] == want
+        assert want > 0.0  # rounding leaves a residue, so the comparison reads real bits
+
     def test_two_block_model_file(self, capsys, tmp_path):
         # n = 256: the unitarity check walks two row blocks of 128; compact JSON writes fast
         model = CouplingModel(random_unitary(256, 5), dim_s=32, dim_e=8)

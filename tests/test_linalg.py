@@ -12,7 +12,7 @@ from logent.channels import (CouplingModel, apply_channel, block_decompose, comp
 from logent.linalg import _require, as_complex_matrix, hermiticity_defect, partial_trace
 from logent.measurement import projectors_from_partition, purity_decomposition, validate_projectors
 from logent.mixing import Ensemble, schmidt_entropy_pair
-from logent.states import DensityValidationError, NonHermitianError, density_from_pure, validate_density
+from logent.states import DensityValidationError, NonHermitianError, density_from_pure, purity, validate_density
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -89,6 +89,8 @@ def test_hermiticity_defect_of_inf_is_nan_without_a_numpy_warning(m):
 
 QUBIT_KRAUS = extract_kraus(coupling_model(0.3))
 QUBIT_PROJECTORS = projectors_from_partition([[0], [1]], 2)
+RAGGED = [[1, 0], [0]]
+UNEQUAL_ROWS = "expected a 2-D matrix, got rows of unequal length"
 
 
 @pytest.mark.parametrize("call, error, message", [
@@ -116,6 +118,7 @@ QUBIT_PROJECTORS = projectors_from_partition([[0], [1]], 2)
      "dimensions must be positive, got dim_a=-2 dim_b=-2"),
     (lambda: block_decompose(np.eye(4) / 4, -2, -2), ValueError,
      "dimensions must be positive, got dim_s=-2 dim_e=-2"),
+    (lambda: block_decompose(np.ones(4), 0, 2), ValueError, "expected a 2-D matrix, got ndim=1"),
     (lambda: apply_channel(np.eye(2) / 2, [np.eye(2), np.eye(3)]), ValueError,
      "operator 1 has shape (3, 3), expected (2, 2)"),
     (lambda: completeness_defect([np.eye(2), np.eye(3)]), ValueError,
@@ -132,16 +135,34 @@ QUBIT_PROJECTORS = projectors_from_partition([[0], [1]], 2)
     (lambda: hermiticity_defect(np.ones((2, 3))), ValueError, "square matrix required, got (2, 3)"),
     (lambda: validate_density(np.ones((2, 3))), DensityValidationError,
      "density matrix must be square, got (2, 3)"),
+    (lambda: validate_density(RAGGED), ValueError, UNEQUAL_ROWS),
+    (lambda: purity(RAGGED), ValueError, UNEQUAL_ROWS),
+    (lambda: partial_trace(RAGGED, 1, 2, keep="a"), ValueError, UNEQUAL_ROWS),
+    (lambda: apply_channel(RAGGED, QUBIT_KRAUS), ValueError, UNEQUAL_ROWS),
+    (lambda: CouplingModel(RAGGED, dim_s=1, dim_e=2), ValueError, UNEQUAL_ROWS),
+    (lambda: Ensemble([0.5, 0.5], [np.eye(2) / 2, RAGGED]), ValueError, UNEQUAL_ROWS),
+    (lambda: validate_projectors([np.eye(2), RAGGED]), ValueError, UNEQUAL_ROWS),
 ], ids=["couple", "exchange", "apply", "model", "block-decompose",
         "purity-decomposition", "partial-trace", "schmidt", "partial-trace-negative-dims",
         "partial-trace-zero-dim", "schmidt-negative-dims", "block-decompose-negative-dims",
-        "apply-ragged-kraus", "completeness-ragged-kraus", "apply-ragged-kraus-member",
-        "completeness-ragged-kraus-member", "completeness-zero-width-kraus",
-        "apply-zero-height-kraus", "not-2d", "hermiticity-non-square", "density-non-square"])
+        "block-decompose-not-2d-and-zero-dim", "apply-ragged-kraus", "completeness-ragged-kraus",
+        "apply-ragged-kraus-member", "completeness-ragged-kraus-member", "completeness-zero-width-kraus",
+        "apply-zero-height-kraus", "not-2d", "hermiticity-non-square", "density-non-square",
+        "density-ragged", "purity-ragged", "partial-trace-ragged", "apply-ragged-state", "model-ragged",
+        "ensemble-ragged-member", "projectors-ragged-member"])
 def test_shape_checks_name_the_shape_they_reject(call, error, message):
     # each check names the shape it rejects; a check against a space's dimension names the space too
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         call()
+
+
+def test_a_non_numeric_matrix_entry_keeps_numpys_conversion_error():
+    # the rows agree in length, so the entry reaches numpy's complex128 conversion and its error
+    bad = [["x", 0], [0, 1]]
+    with pytest.raises(ValueError) as numpys:
+        np.asarray(bad, dtype=np.complex128)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(numpys.value))}$"):
+        as_complex_matrix(bad)
 
 
 def test_a_non_numeric_operator_entry_is_no_shape_error():

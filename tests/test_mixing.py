@@ -287,6 +287,13 @@ def test_orthogonal_support_checks_every_pair_of_twelve():
         assert not mixing_bound_report(ens).orthogonal_support
 
 
+def test_orthogonal_support_fails_closed_on_a_nan_tolerance():
+    # two identical pure members overlap fully (tr = 1), so a NaN tolerance must not call them orthogonal
+    ens = Ensemble([0.5, 0.5], [np.diag([1.0, 0.0])] * 2)
+    assert not orthogonal_support(ens)
+    assert not orthogonal_support(ens, tol=float("nan"))
+
+
 def test_ensemble_members_are_drawn_as_one_gaussian_after_another():
     # one read of the stream for all members yields the numbers of the member-by-member draws
     for seed, dim, n, pure in [(0, 3, 2, True), (1, 4, 6, False), (2, 1, 3, True), (3, 2, 5, False)]:
