@@ -11,7 +11,7 @@ from . import (amplitude_damping, channels, classical, fuzz, linalg,
                measurement, mixing, serialization, states)
 from .channels import (BoundReport, CouplingModel, ExchangeReport, apply_channel,
                        block_decompose, completeness_defect, couple, exchange_entropy,
-                       extract_kraus, off_block_bound, rotate_env_init,
+                       env_kraus, extract_kraus, off_block_bound,
                        verify_entropy_bound)
 from .classical import (bridge_check, bridge_entropies, dit_count, logical_entropy_dist,
                         partition_entropy, validate_distribution, weight_entropy)

@@ -5,9 +5,12 @@ A noise process is modeled as a unitary U acting jointly on the system S
 and an environment E prepared in a basis state |e0>. The joint space is
 ordered environment-major (joint index = e * dim_s + s), so only the e0
 block column of U reaches |e0> (x) rho: the isometry V = U (|e0> (x) I_S),
-whose dim_s x dim_s slices are the Kraus operators E_i = <i| U |e0>. The
-coupled state V rho V† is read as one (dim_e, dim_e, dim_s, dim_s) view
-of its blocks
+whose dim_s x dim_s slices are the Kraus operators E_i = <i| U |e0>. A
+channel is read only as such a stack: each consumer takes a CouplingModel
+or any complete Kraus stack (the channel of some coupling, by Stinespring),
+and env_kraus gives the stack E_i = sum_j w_j <i| U |j> of an environment
+prepared in any pure |w>. The coupled state V rho V† is read as one
+(dim_e, dim_e, dim_s, dim_s) view of its blocks
 
     B[i, j] = E_i rho E_j†.
 
@@ -91,27 +94,29 @@ def _kraus_stack(u: np.ndarray, ds: int, env_init: int = 0) -> np.ndarray:
     return u[..., env_init * ds:(env_init + 1) * ds].reshape(*u.shape[:-2], -1, ds, ds)
 
 
-def couple(rho, model: CouplingModel) -> np.ndarray:
-    """Joint state U (|e0><e0| (x) rho) U† = V rho V† on E (x) S, V = U (|e0> (x) I_S) the stacked E_i."""
-    rho = _on_space(as_complex_matrix(rho), model.dim_s, "model system side")
-    v = _kraus_stack(model.unitary, model.dim_s, model.env_init).reshape(-1, model.dim_s)
-    return v @ rho @ v.conj().T
+def couple(rho, model) -> np.ndarray:
+    """Joint state V rho V† on E (x) S, V the stacked E_i of a model (V = U (|e0> (x) I_S)) or a Kraus stack."""
+    rho, ops = as_complex_matrix(rho), extract_kraus(model)
+    v = ops.reshape(-1, ops.shape[2])
+    return v @ _on_space(rho, ops.shape[2], "model system side") @ v.conj().T
 
 
-def extract_kraus(model: CouplingModel) -> np.ndarray:
-    """Kraus operators E_i = <i| U |e0> of the induced channel.
+def extract_kraus(model) -> np.ndarray:
+    """Kraus operators E_i = <i| U |e0> of the induced channel, ops[i] = E_i.
 
-    Returns the isometry as a read-only (dim_e, dim_s, dim_s) view into
-    the unitary, ops[i] = E_i. Completeness sum_i E_i† E_i = I is
-    checked (it follows from unitarity, so a violation means the model
-    is corrupt).
+    For a CouplingModel, a read-only (dim_e, dim_s, dim_s) view into its
+    unitary; any other model is a Kraus stack in a form apply_channel
+    takes, returned as a (k, m, n) complex array. Completeness
+    sum_i E_i† E_i = I is checked (a model has it by unitarity, so a
+    violation means the model is corrupt).
     """
     return _kraus(model)[0]
 
 
-def _kraus(model: CouplingModel) -> tuple[np.ndarray, float]:
+def _kraus(model) -> tuple[np.ndarray, float]:
     """extract_kraus's operators and the completeness defect they were checked with."""
-    ops = _kraus_stack(model.unitary, model.dim_s, model.env_init)
+    is_model = isinstance(model, CouplingModel)
+    ops = _kraus_stack(model.unitary, model.dim_s, model.env_init) if is_model else _operator_stack(model)
     defect = completeness_defect(ops)
     _require(defect, DEFAULT_TOL, "Kraus completeness violated: sum E†E deviates from I by {:.3e}")
     return ops, defect
@@ -214,9 +219,9 @@ class BoundReport:
     entropy_le_projected: bool
 
 
-def verify_entropy_bound(rho, model: CouplingModel, tol: float = DEFAULT_TOL) -> BoundReport:
-    """Push rho through the model's channel and compare output entropy
-    with the off-block bound.
+def verify_entropy_bound(rho, model, tol: float = DEFAULT_TOL) -> BoundReport:
+    """Push rho through the channel of model (a CouplingModel or a complete
+    Kraus stack) and compare output entropy with the off-block bound.
 
     The inequality h(out) <= bound is guaranteed for pure rho. Mixed
     inputs are processed all the same, with hypothesis_pure=False in the
@@ -225,8 +230,8 @@ def verify_entropy_bound(rho, model: CouplingModel, tol: float = DEFAULT_TOL) ->
     separate sums of one block-weight matrix W: the off-diagonal sum and
     1 - tr W. Each is computed once, by the kernels the stacked campaigns run.
     """
-    rho = _on_space(validate_density(rho, tol=tol), model.dim_s, "model system side")
-    return _bound_report(rho, extract_kraus(model), tol)[0]
+    rho, ops = validate_density(rho, tol=tol), extract_kraus(model)
+    return _bound_report(_on_space(rho, ops.shape[2], "model system side"), ops, tol)[0]
 
 
 def _bound_report(rho: np.ndarray, ops: np.ndarray, tol: float) -> tuple[BoundReport, np.ndarray]:
@@ -251,29 +256,16 @@ def _theorem_holds(r: BoundReport, tol: float) -> bool:
     return r.entropy_le_projected and (not r.hypothesis_pure or r.slack >= -tol and r.projected_equals_bound)
 
 
-def rotate_env_init(model: CouplingModel, env_state) -> CouplingModel:
-    """Fold a pure environment preparation |w> into the unitary.
-
-    Returns a model with U' = U (W (x) I_S) where W maps |env_init> to
-    |w>; coupling with the new model is coupling the old one to |w>.
-    """
+def env_kraus(model: CouplingModel, env_state) -> np.ndarray:
+    """The (dim_e, dim_s, dim_s) Kraus stack E_i = sum_j w_j <i| U |j> of the model's environment prepared in |w>."""
+    ds, de = model.dim_s, model.dim_e
     w = np.asarray(env_state, dtype=np.complex128).reshape(-1)
-    if w.shape[0] != model.dim_e:
-        raise ValueError(f"dimension mismatch: env state has {w.shape[0]} entries, dim_e={model.dim_e}")
+    if w.shape[0] != de:
+        raise ValueError(f"dimension mismatch: env state has {w.shape[0]} entries, dim_e={de}")
     norm = float(_norms(w))
     _require(abs(norm - 1.0), NORM_TOL,
              "environment state norm {1:.9g} deviates from 1 by more than 1e-6", norm)
-    w = w / norm
-    # Complete w to an orthonormal basis, phase-fixed so column 0 is w itself,
-    # then swap that column into position env_init.
-    q, r = np.linalg.qr(w.reshape(-1, 1), mode="complete")
-    q = np.asarray(q, dtype=np.complex128)
-    q[:, 0] *= r[0, 0] / abs(r[0, 0])
-    perm = list(range(model.dim_e))
-    perm[0], perm[model.env_init] = perm[model.env_init], perm[0]
-    u = model.unitary.reshape(-1, model.dim_e, model.dim_s)  # U (W (x) I_S) in O(n^2 dim_e)
-    u2 = (u.swapaxes(1, 2) @ q[:, perm]).swapaxes(1, 2).reshape(model.unitary.shape)
-    return CouplingModel(u2, dim_s=model.dim_s, dim_e=model.dim_e, env_init=model.env_init)
+    return np.einsum("iajb,j->iab", model.unitary.reshape(de, ds, de, ds), w / norm)
 
 
 @dataclass(frozen=True)
@@ -286,14 +278,14 @@ class ExchangeReport:
     dim_r: int
 
 
-def exchange_entropy(rho, model: CouplingModel, tol: float = DEFAULT_TOL) -> ExchangeReport:
+def exchange_entropy(rho, model, tol: float = DEFAULT_TOL) -> ExchangeReport:
     """Entropy the environment gains, measured through a reference system.
 
     rho is purified against a reference R of dimension dim_r = rank(rho),
-    the number of eigenvalues above tol, and the model acts on the S side
-    of |RS>. The coupled state on E (x) R (x) S is pure, so R (x) S shares
-    its entropy with E (Schumacher, PRA 54, 2614 (1996)), and everything
-    follows from the environment's dim_e x dim_e state
+    the number of eigenvalues above tol, and the model (a CouplingModel or a
+    complete Kraus stack) acts on the S side of |RS>. The coupled state on
+    E (x) R (x) S is pure, so R (x) S shares its entropy with E (Schumacher,
+    PRA 54, 2614 (1996)), and all follows from the environment's dim_e x dim_e state
 
         W_ij = tr(E_i rho E_j†):
 
@@ -301,11 +293,11 @@ def exchange_entropy(rho, model: CouplingModel, tol: float = DEFAULT_TOL) -> Exc
     (I_R (x) E_i)|RS><RS|(I_R (x) E_j)† has rank one, the off-block bound
     is sum_{i != j} W_ii W_jj. The purification is never built.
     """
-    rho = _on_space(validate_density(rho, tol=tol), model.dim_s, "model system side")
-    w = _env_state(rho, extract_kraus(model))
+    rho, ops = validate_density(rho, tol=tol), extract_kraus(model)
+    w = _env_state(_on_space(rho, ops.shape[2], "model system side"), ops)
     _require(abs(complex(np.trace(w)) - 1.0), tol, "environment state trace deviates from 1 by {:.3e}")
     p = w.diagonal().real
-    bound = float(np.outer(p, p)[~np.eye(model.dim_e, dtype=bool)].sum())
+    bound = float(np.outer(p, p)[~np.eye(len(ops), dtype=bool)].sum())
     entropy = 1.0 - float(np.vdot(w, w).real)
     return ExchangeReport(exchange_entropy=entropy, bound=bound, slack=bound - entropy,
                           dim_r=int(np.count_nonzero(np.linalg.eigvalsh(rho) > tol)))

@@ -35,12 +35,13 @@ def _on_space(m: np.ndarray, n: int, space: str, what: str = "state", **dims: in
     return m
 
 
-def as_complex_matrix(m) -> np.ndarray:
-    """Coerce to a 2-D complex128 array (no copy when already one)."""
+def as_complex_matrix(m, name: str = "") -> np.ndarray:
+    """Coerce to a 2-D complex128 array (no copy when already one); a ragged m is reported by name if given."""
     try:
         np.shape(m)
     except ValueError:  # numpy's error for nested rows of unequal length
-        raise ValueError("expected a 2-D matrix, got rows of unequal length") from None
+        raise ValueError(f"{name} is not a matrix: its rows differ in length" if name
+                         else "expected a 2-D matrix, got rows of unequal length") from None
     out = np.asarray(m, dtype=np.complex128)
     if out.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got ndim={out.ndim}")

@@ -72,7 +72,7 @@ def validate_projectors(ps, tol: float = IDENTITY_TOL) -> np.ndarray:
     one, then each projector against its successors, then completeness.
     Partition projectors are checked as partitions instead.
     """
-    mats = [as_complex_matrix(p) for p in ps]
+    mats = [as_complex_matrix(p, f"projector {i}") for i, p in enumerate(ps)]
     if not mats:
         raise ValueError("empty projector set")
     dim = mats[0].shape[0]

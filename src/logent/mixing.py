@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classical import validate_distribution, weight_entropy
-from .linalg import DEFAULT_TOL, IDENTITY_TOL, _dots, _partial_trace, _require, partial_trace
+from .linalg import DEFAULT_TOL, IDENTITY_TOL, _dots, _partial_trace, _require, as_complex_matrix, partial_trace
 from .measurement import project, projectors_from_partition
 from .states import (_pure_densities, _purities, _random_states, _rng, density_from_pure,
                      logical_entropy, validate_density)
@@ -36,7 +36,7 @@ class Ensemble:
     states: np.ndarray  # the checked members, one read-only complex (m, d, d) array
 
     def __post_init__(self):
-        states = [validate_density(s) for s in self.states]
+        states = [validate_density(as_complex_matrix(s, f"state {k}")) for k, s in enumerate(self.states)]
         w = validate_distribution(self.weights)
         if w.shape[0] != len(states):
             raise ValueError(f"{w.shape[0]} weights for {len(states)} states")

@@ -6,9 +6,8 @@ import pytest
 
 from logent.amplitude_damping import coupling_model
 from logent.channels import (CouplingModel, apply_channel, block_decompose,
-                             completeness_defect, couple, exchange_entropy,
-                             extract_kraus, off_block_bound, rotate_env_init,
-                             verify_entropy_bound)
+                             completeness_defect, couple, env_kraus, exchange_entropy,
+                             extract_kraus, off_block_bound, verify_entropy_bound)
 from logent.linalg import DEFAULT_TOL, partial_trace
 from logent.states import (density_from_pure, logical_entropy, purity,
                            random_density, random_pure_state, random_unitary)
@@ -406,20 +405,36 @@ class TestVerifyEntropyBound:
             verify_entropy_bound(np.eye(3) / 3, coupling_model(0.3))
 
 
+def kron_oracle(model, w):
+    """The dense model U (W (x) I_S), W a unitary whose column 0 is w: it couples model's U to |w>."""
+    de, ds = model.dim_e, model.dim_s
+    m = np.random.default_rng(de).standard_normal((de, de)) * (1 + 0j)
+    m[:, 0] = w
+    q, r = np.linalg.qr(m)
+    q[:, 0] *= r[0, 0]  # |r00| = |w| = 1, so column 0 becomes w itself
+    return CouplingModel(model.unitary @ np.kron(q, np.eye(ds)), ds, de)
+
+
 class TestEnvRotation:
     def test_rotation_to_basis_state_matches_env_init(self):
-        model = coupling_model(0.7)
-        rho = density_from_pure([0.6, 0.8])
-        rotated = rotate_env_init(model, [0, 1])
-        shifted = CouplingModel(model.unitary, 2, 2, env_init=1)
-        npt.assert_allclose(couple(rho, rotated), couple(rho, shifted), atol=1e-12)
+        # bitwise, for every basis state of every model, the damping coupling included
+        models = [coupling_model(0.7)] + [CouplingModel(random_unitary(ds * de, ds + de), ds, de, env_init=de // 2)
+                                          for ds, de in ((1, 1), (2, 3), (3, 4), (1, 5), (4, 2))]
+        for model in models:
+            ds, de = model.dim_s, model.dim_e
+            rho = density_from_pure(random_pure_state(ds, de))
+            for k, e_k in enumerate(np.eye(de)):
+                shifted = CouplingModel(model.unitary, ds, de, env_init=k)
+                ops = env_kraus(model, e_k)
+                assert np.array_equal(ops, extract_kraus(shifted))
+                assert verify_entropy_bound(rho, ops) == verify_entropy_bound(rho, shifted)
+                assert exchange_entropy(rho, ops) == exchange_entropy(rho, shifted)
 
     def test_rotation_to_superposition_preserves_purity(self):
         model = random_model(2, 3, 4)
         w = np.array([0.5, 0.5j, np.sqrt(0.5)])
-        rotated = rotate_env_init(model, w)
         rho = density_from_pure(random_pure_state(2, 11))
-        assert abs(purity(couple(rho, rotated)) - 1.0) < 1e-12
+        assert abs(purity(couple(rho, env_kraus(model, w))) - 1.0) < 1e-12
 
     @pytest.mark.parametrize("ds,de", [(3, 4), (1, 5), (4, 1), (1, 1), (6, 7)])
     def test_matches_dense_kron_oracle(self, ds, de):
@@ -427,20 +442,21 @@ class TestEnvRotation:
         model = CouplingModel(random_unitary(ds * de, de), ds, de, env_init=int(rng.integers(de)))
         w = rng.standard_normal(de) + 1j * rng.standard_normal(de)
         w /= np.linalg.norm(w)
-        u2 = rotate_env_init(model, w).unitary
-        # U' = U (W (x) I_S) for a unitary W whose env_init column is w
-        wide = (model.unitary.conj().T @ u2)[::ds, ::ds]
-        npt.assert_allclose(u2, model.unitary @ np.kron(wide, np.eye(ds)), rtol=0, atol=1e-12)
-        npt.assert_allclose(wide.conj().T @ wide, np.eye(de), rtol=0, atol=1e-12)
-        npt.assert_allclose(wide[:, model.env_init], w, rtol=0, atol=1e-12)
+        ops, dense = env_kraus(model, w), kron_oracle(model, w)
+        npt.assert_allclose(ops, extract_kraus(dense), rtol=0, atol=1e-12)
+        pure, mixed = density_from_pure(random_pure_state(ds, de)), random_density(ds, de + 1)
+        for report in (lambda m: verify_entropy_bound(pure, m), lambda m: exchange_entropy(mixed, m)):
+            got, want = report(ops), report(dense)
+            for field, value in vars(want).items():
+                npt.assert_allclose(getattr(got, field), value, rtol=0, atol=1e-12, err_msg=field)
 
     def test_rejects_unnormalized(self):
         with pytest.raises(ValueError, match="norm"):
-            rotate_env_init(coupling_model(0.2), [1.0, 1.0])
-        with pytest.raises(ValueError, match="dimension mismatch"):
-            rotate_env_init(coupling_model(0.2), [1.0, 0.0, 0.0])
+            env_kraus(coupling_model(0.2), [1.0, 1.0])
+        with pytest.raises(ValueError, match=r"^dimension mismatch: env state has 3 entries, dim_e=2$"):
+            env_kraus(coupling_model(0.2), [1.0, 0.0, 0.0])
         with pytest.raises(ValueError, match="norm"):
-            rotate_env_init(coupling_model(0.2), [np.nan, 0.0])
+            env_kraus(coupling_model(0.2), [np.nan, 0.0])
 
     def test_overflowing_norm_is_rejected_without_warnings(self):
         # a huge finite state overflows the norm to inf, and is rejected as an inf state is
@@ -449,7 +465,55 @@ class TestEnvRotation:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 with pytest.raises(ValueError, match=f"environment state norm {norm} deviates from 1"):
-                    rotate_env_init(coupling_model(0.2), w)
+                    env_kraus(coupling_model(0.2), w)
+
+
+QUBIT_STATE = density_from_pure([0.6, 0.8])
+STACK_READERS = {
+    "extract_kraus": lambda rho, ops: extract_kraus(ops),
+    "couple": couple,
+    "verify_entropy_bound": verify_entropy_bound,
+    "exchange_entropy": exchange_entropy,
+}
+
+
+class TestKrausStackInput:
+    """Every channel consumer takes a Kraus stack in place of a model, and checks it on the way in."""
+
+    @pytest.mark.parametrize("reader", STACK_READERS.values(), ids=STACK_READERS.keys())
+    def test_an_incomplete_stack_is_rejected(self, reader):
+        ops = extract_kraus(coupling_model(0.4)) * np.sqrt(1 + 10 * DEFAULT_TOL)
+        with pytest.raises(ValueError, match="^Kraus completeness violated"):
+            reader(QUBIT_STATE, ops)
+
+    @pytest.mark.parametrize("reader", STACK_READERS.values(), ids=STACK_READERS.keys())
+    def test_a_nan_stack_fails_completeness(self, reader):
+        ops = extract_kraus(coupling_model(0.4)).copy()
+        ops[1, 0, 1] = np.nan
+        with pytest.raises(ValueError, match="^Kraus completeness violated"):
+            reader(QUBIT_STATE, ops)
+
+    @pytest.mark.parametrize("reader", STACK_READERS.values(), ids=STACK_READERS.keys())
+    def test_a_ragged_member_is_named(self, reader):
+        with pytest.raises(ValueError, match="^operator 1 is not a matrix: its rows differ in length$"):
+            reader(QUBIT_STATE, [np.eye(2), [[1, 0], [0]]])
+
+    @pytest.mark.parametrize("reader", list(STACK_READERS.values())[1:], ids=list(STACK_READERS)[1:])
+    def test_a_stack_on_another_input_side_is_a_dimension_mismatch(self, reader):
+        ops = extract_kraus(random_model(3, 2, 5))
+        with pytest.raises(ValueError, match=r"^dimension mismatch: state is \(2, 2\), model system side is 3$"):
+            reader(QUBIT_STATE, ops)
+
+    def test_a_models_stack_reads_as_the_model(self):
+        for seed in range(8):
+            ds, de = 1 + seed % 4, 2 + seed % 3
+            model = CouplingModel(random_unitary(ds * de, seed + 70), ds, de, env_init=1 + seed % (de - 1))
+            ops = extract_kraus(model)
+            for rho in (density_from_pure(random_pure_state(ds, seed)), random_density(ds, seed + 1)):
+                assert verify_entropy_bound(rho, ops) == verify_entropy_bound(rho, model)
+                assert exchange_entropy(rho, ops) == exchange_entropy(rho, model)
+                assert np.array_equal(couple(rho, ops), couple(rho, model))
+            assert np.array_equal(extract_kraus(ops), ops)
 
 
 class TestExchangeEntropy:

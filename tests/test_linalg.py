@@ -140,8 +140,10 @@ UNEQUAL_ROWS = "expected a 2-D matrix, got rows of unequal length"
     (lambda: partial_trace(RAGGED, 1, 2, keep="a"), ValueError, UNEQUAL_ROWS),
     (lambda: apply_channel(RAGGED, QUBIT_KRAUS), ValueError, UNEQUAL_ROWS),
     (lambda: CouplingModel(RAGGED, dim_s=1, dim_e=2), ValueError, UNEQUAL_ROWS),
-    (lambda: Ensemble([0.5, 0.5], [np.eye(2) / 2, RAGGED]), ValueError, UNEQUAL_ROWS),
-    (lambda: validate_projectors([np.eye(2), RAGGED]), ValueError, UNEQUAL_ROWS),
+    (lambda: Ensemble([0.5, 0.5], [np.eye(2) / 2, RAGGED]), ValueError,
+     "state 1 is not a matrix: its rows differ in length"),
+    (lambda: validate_projectors([np.eye(2), RAGGED]), ValueError,
+     "projector 1 is not a matrix: its rows differ in length"),
 ], ids=["couple", "exchange", "apply", "model", "block-decompose",
         "purity-decomposition", "partial-trace", "schmidt", "partial-trace-negative-dims",
         "partial-trace-zero-dim", "schmidt-negative-dims", "block-decompose-negative-dims",
