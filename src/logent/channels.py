@@ -147,8 +147,8 @@ def completeness_defect(ops) -> float:
 
 
 def apply_channel(rho, ops) -> np.ndarray:
-    """sum_i E_i rho E_i†. rho must be n x n for operators of input side n;
-    trace-preserving when ops are complete."""
+    """sum_i E_i rho E_i†, rho n x n for operators of input side n; trace-preserving only when
+    ops are complete, which extract_kraus and completeness_defect check and this does not."""
     rho = as_complex_matrix(rho)
     ops = _operator_stack(ops)
     return _channel(_on_space(rho, ops.shape[2], "operator input side"), ops)

@@ -19,7 +19,7 @@ import io
 import json
 import sys
 from contextlib import nullcontext
-from math import pi
+from math import isfinite, pi
 
 import numpy as np
 
@@ -94,7 +94,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("sweep", _cmd_sweep, "entropy/bound sweep over the decay angle (CSV)")
     add_state(p)
-    p.add_argument("--channel", choices=CHANNELS, default="amplitude-damping")
     p.add_argument("--theta-start", type=float, default=0.0)
     p.add_argument("--theta-end", type=float, default=pi)
     p.add_argument("--steps", type=int, default=64)
@@ -200,6 +199,8 @@ def _cmd_sweep(parser, args) -> tuple[int, str]:
         raise ValueError(f"sweep needs a single-qubit state, got shape {rho.shape}")
     if args.steps < 1:
         parser.error("--steps must be >= 1")
+    if not isfinite(span := args.theta_end - args.theta_start):  # NaN, an infinity, or past float64
+        parser.error(f"--theta-start and --theta-end must bound a finite range, got a span of {span!r}")
     a, b, c = float(rho[0, 0].real), complex(rho[0, 1]), float(rho[1, 1].real)
     buf = io.StringIO()
     buf.write("theta,entropy,bound,closed_form_entropy,closed_form_bound,slack\n")

@@ -38,11 +38,11 @@ def _on_space(m: np.ndarray, n: int, space: str, what: str = "state", **dims: in
 def as_complex_matrix(m, name: str = "") -> np.ndarray:
     """Coerce to a 2-D complex128 array (no copy when already one); a ragged m is reported by name if given."""
     try:
-        np.shape(m)
+        out = np.asarray(m)
     except ValueError:  # numpy's error for nested rows of unequal length
         raise ValueError(f"{name} is not a matrix: its rows differ in length" if name
                          else "expected a 2-D matrix, got rows of unequal length") from None
-    out = np.asarray(m, dtype=np.complex128)
+    out = out.astype(np.complex128, copy=False)
     if out.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got ndim={out.ndim}")
     return out

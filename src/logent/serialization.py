@@ -154,9 +154,9 @@ def _pair_array(text: str, start: int, end: int) -> np.ndarray:
     """Read text[start:end], a JSON array of [re, im] number pairs, as a read-only (n, 2)
     float64 array; raise ValueError or OverflowError when it is anything else.
 
-    Chunks of about _CHUNK characters, cut at commas, are checked in bulk: they hold only
-    number characters, JSON whitespace and "[],", no slot is empty ("[," or ",]" without
-    whitespace), and their brackets and commas join into the skeleton [[,],[,],...,[,]].
+    Chunks of about _CHUNK characters, cut at commas, are checked in bulk: they hold only number
+    characters, JSON whitespace and "[],"; without whitespace and padded with the commas they were
+    cut at, they hold no empty slot ("[," or ",]"); their brackets and commas join into [[,],...,[,]].
     json.loads parses each with its brackets blanked out, one number per slot: the Python
     ints and floats that parsing the nested lists gives.
     """
@@ -165,12 +165,9 @@ def _pair_array(text: str, start: int, end: int) -> np.ndarray:
         cut = text.find(",", start + _CHUNK, end)
         cut = end if cut < 0 else cut
         raw = text[start:cut].encode("ascii")
-        squeezed = raw.translate(None, _SPACE)
-        dense = np.frombuffer(b"," + squeezed + b",", dtype=np.uint8)
-        left, right = dense[:-1], dense[1:]
-        skeletons.append(squeezed.translate(None, _NUMBER))
-        if skeletons[-1].translate(None, b"[],") or (
-                (left == ord("[")) & (right == ord(",")) | (left == ord(",")) & (right == ord("]"))).any():
+        squeezed = b"," + raw.translate(None, _SPACE) + b","  # the commas the chunk was cut at
+        skeletons.append(squeezed[1:-1].translate(None, _NUMBER))
+        if skeletons[-1].translate(None, b"[],") or b"[," in squeezed or b",]" in squeezed:
             raise ValueError("a character or an empty slot no pair array holds")
         parts.append(np.array(json.loads(b"[" + raw.translate(_UNBRACKET) + b"]"), dtype=np.float64))
         start = cut + 1

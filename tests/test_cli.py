@@ -425,7 +425,11 @@ class TestUsageErrors:
         assert "not both" in err
 
 
+FINITE_RANGE = "--theta-start and --theta-end must bound a finite range, got a span of"
+
+
 class TestBadInput:
+    @pytest.mark.filterwarnings("error")  # a warning before the one error line fails the row
     @pytest.mark.parametrize("argv, code, message", [
         (("apply", "--state", "{rho3}", "--channel", "amplitude-damping", "--theta", "0.3"), 1,
          "dimension mismatch: state is (3, 3), operator input side is 2"),
@@ -433,9 +437,16 @@ class TestBadInput:
          "dimension mismatch: unitary is (4, 4), joint space is 6"),
         (("sweep", "--state", "{rho3}"), 1, "sweep needs a single-qubit state, got shape (3, 3)"),
         (("sweep", "--state", "{plus}", "--steps", "0"), 64, "--steps must be >= 1"),
+        (("sweep", "--state", "{plus}", "--steps", "3", "--theta-end=inf"), 64, f"{FINITE_RANGE} inf"),
+        (("sweep", "--state", "{plus}", "--steps", "3", "--theta-start=nan"), 64, f"{FINITE_RANGE} nan"),
+        (("sweep", "--state", "{plus}", "--steps", "3", "--theta-start=-1e308", "--theta-end=1e308"), 64,
+         f"{FINITE_RANGE} inf"),
+        (("sweep", "--state", "{plus}", "--channel", "amplitude-damping"), 64,
+         "unrecognized arguments: --channel amplitude-damping"),
         (("bound", "--state", "{plus}"), 64,
          "a coupling is required: --model FILE or --channel NAME --theta X"),
-    ], ids=["apply-state-size", "model-dims", "sweep-qubit", "sweep-steps", "bound-coupling"])
+    ], ids=["apply-state-size", "model-dims", "sweep-qubit", "sweep-steps", "sweep-theta-end-inf",
+            "sweep-theta-start-nan", "sweep-span-past-float64", "sweep-has-no-channel", "bound-coupling"])
     def test_rejection_exits_with_one_error_line(self, capsys, tmp_path, plus_state, argv, code, message):
         files = {"plus": plus_state,
                  "rho3": write_json(tmp_path / "rho3.json", matrix_to_json(np.eye(3, dtype=complex) / 3)),

@@ -172,3 +172,54 @@ def test_a_non_numeric_operator_entry_is_no_shape_error():
     with pytest.raises(ValueError) as info:
         apply_channel(np.eye(2) / 2, [np.eye(2), [["x", 0], [0, 1]]])
     assert "shape" not in str(info.value)
+
+
+with warnings.catch_warnings():  # np.matrix warns on construction that the subclass is not recommended
+    warnings.simplefilter("ignore", PendingDeprecationWarning)
+    NP_MATRIX = np.matrix([[1, 2], [3, 4]])
+CONVERSIONS = {
+    "ints": [[1, 2], [3, 4]],
+    "bools": [[True, False], [False, True]],
+    "2**64": [[2**64, 0], [0, 1]],
+    "2**70": [[2**70, 1], [1, 1]],
+    "-2**63": [[-2**63, 1], [0, 0]],
+    "float32-scalars": [[np.float32(0.1), 1], [2.5, np.float32(1 / 3)]],
+    "numeric-strings": [["1.5", "2"], ["-3e2", "1+2j"]],
+    "none": [[None, 0], [0, 1]],
+    "inf": [[np.inf, -np.inf], [0, 1]],
+    "nan": [[np.nan, 0], [0, complex(np.nan, -0.0)]],
+    "negative-zero": [[-0.0, 0], [complex(0, -0.0), -0.0]],
+    "tuples": ((1, 2.5), (3j, 4)),
+    "python-complex": [[1 + 2j, 3], [4, 5j]],
+    "np-matrix": NP_MATRIX,
+    "transposed": np.arange(6.0).reshape(2, 3).T,
+    "strided": np.arange(16.0).reshape(4, 4)[::2, ::2],
+    "int8": np.eye(3, dtype=np.int8),
+    "complex64": (np.arange(4) + 0.1j).astype(np.complex64).reshape(2, 2),
+    "non-numeric-string": [["x", 0], [0, 1]],
+    "non-numeric-object": [[object(), 0], [0, 1]],
+}
+
+
+def _converted(convert, m):
+    """What a conversion gives: its bytes, dtype, shape, layout and warnings, or its error's type and text."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            out = convert(m)
+        except (TypeError, ValueError) as exc:  # the error itself is compared
+            return type(exc), str(exc), [str(w.message) for w in caught]
+    return (out.tobytes(), out.dtype, out.shape, out.flags.c_contiguous, out.flags.f_contiguous,
+            [str(w.message) for w in caught])
+
+
+@pytest.mark.parametrize("m", CONVERSIONS.values(), ids=CONVERSIONS.keys())
+def test_conversion_matches_numpys_complex128_asarray(m):
+    # bit for bit (-0.0 and NaN included), with the same dtype, layout and warnings, or the same error
+    assert _converted(as_complex_matrix, m) == _converted(lambda x: np.asarray(x, dtype=np.complex128), m)
+
+
+def test_a_complex128_matrix_is_returned_as_is():
+    m = np.arange(16.0).reshape(4, 4) * (1 + 1j)
+    for view in (m, m[::2, ::2], m.T):
+        assert as_complex_matrix(view) is view
