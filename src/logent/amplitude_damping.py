@@ -86,7 +86,8 @@ class ClosedFormReport:
     """Numeric pipeline vs closed forms for one (a, b, c, theta).
 
     bound is the closed form, numeric_bound verify_entropy_bound's bound
-    (they agree within 1e-10). entropy_matches_closed_form must
+    (they agree within 1e-10, as block_purities, diag W, agrees with
+    closed_form_block_purities). entropy_matches_closed_form must
     always hold; bound_holds and projected_equals_bound are only
     guaranteed under hypothesis_pure; theorem_holds is bound's proof-step verdict at tol.
     """
@@ -107,15 +108,19 @@ class ClosedFormReport:
 def verify_closed_forms(a: float, b: complex, c: float, theta: float,
                         tol: float = DEFAULT_TOL) -> ClosedFormReport:
     """Run verify_entropy_bound's kernel on the damping channel, the state checked within tol,
-    and compare with every closed form."""
-    rho, cf_bound, cf_purity, _ = _closed_forms(a, b, c, theta, tol)
+    and compare with every closed form. The bound and the two block purities are two routes to one
+    value each: a difference past IDENTITY_TOL raises AssertionError."""
+    rho, cf_bound, cf_purity, cf_blocks = _closed_forms(a, b, c, theta, tol)
     r, w = _bound_report(rho, extract_kraus(coupling_model(theta)), tol)
     cf_entropy = 1.0 - cf_purity
+    blocks = (float(w[0, 0].real), float(w[1, 1].real))
     _require(abs(r.bound - cf_bound), IDENTITY_TOL, "bound routes disagree: {1!r} vs {2!r}",
              r.bound, cf_bound, error=AssertionError)
+    _require(np.abs(np.subtract(blocks, cf_blocks)).max(), IDENTITY_TOL,  # a NaN fails
+             "block purity routes disagree: {1!r} vs {2!r}", blocks, cf_blocks, error=AssertionError)
     return ClosedFormReport(
         entropy=r.entropy, closed_form_entropy=cf_entropy, bound=cf_bound, numeric_bound=r.bound,
-        projected_entropy=r.projected_entropy, block_purities=(float(w[0, 0].real), float(w[1, 1].real)),
+        projected_entropy=r.projected_entropy, block_purities=blocks,
         hypothesis_pure=r.hypothesis_pure,
         entropy_matches_closed_form=abs(r.entropy - cf_entropy) <= IDENTITY_TOL,
         bound_holds=r.entropy <= cf_bound + ROUNDING_TOL,

@@ -110,16 +110,10 @@ def extract_kraus(model) -> np.ndarray:
     sum_i E_i† E_i = I is checked (a model has it by unitarity, so a
     violation means the model is corrupt).
     """
-    return _kraus(model)[0]
-
-
-def _kraus(model) -> tuple[np.ndarray, float]:
-    """extract_kraus's operators and the completeness defect they were checked with."""
     is_model = isinstance(model, CouplingModel)
     ops = _kraus_stack(model.unitary, model.dim_s, model.env_init) if is_model else _operator_stack(model)
-    defect = completeness_defect(ops)
-    _require(defect, DEFAULT_TOL, "Kraus completeness violated: sum E†E deviates from I by {:.3e}")
-    return ops, defect
+    _require(completeness_defect(ops), DEFAULT_TOL, "Kraus completeness violated: sum E†E deviates from I by {:.3e}")
+    return ops
 
 
 def _operator_stack(ops) -> np.ndarray:
@@ -159,17 +153,17 @@ def _channel(rho: np.ndarray, ops: np.ndarray) -> np.ndarray:
     return (ops @ rho[..., None, :, :] @ ops.conj().swapaxes(-1, -2)).sum(axis=-3)
 
 
-def block_decompose(joint, dim_s: int, dim_e: int, tol: float = DEFAULT_TOL) -> np.ndarray:
+def block_decompose(joint, dim_s: int, dim_e: int) -> np.ndarray:
     """View a joint density matrix as its environment-indexed blocks.
 
     Returns a (dim_e, dim_e, dim_s, dim_s) view of joint with
     blocks[i, j] = B_ij. The source must look like a density matrix
-    (Hermitian within tol, unit trace within tol); blocks[j, i] is then
-    the dagger of blocks[i, j].
+    (Hermitian within DEFAULT_TOL, unit trace within DEFAULT_TOL);
+    blocks[j, i] is then the dagger of blocks[i, j].
     """
     joint = _on_space(as_complex_matrix(joint), dim_s * dim_e, "joint space", "joint state", dim_s=dim_s, dim_e=dim_e)
-    _require(_hermiticity_defects(joint), tol, "joint state not Hermitian: defect {:.3e}")
-    _require(abs(complex(np.trace(joint)) - 1.0), tol, "joint state trace deviates from 1 by {:.3e}")
+    _require(_hermiticity_defects(joint), DEFAULT_TOL, "joint state not Hermitian: defect {:.3e}")
+    _require(abs(complex(np.trace(joint)) - 1.0), DEFAULT_TOL, "joint state trace deviates from 1 by {:.3e}")
     return joint.reshape(dim_e, dim_s, dim_e, dim_s).swapaxes(1, 2)
 
 

@@ -112,11 +112,11 @@ def _bridges(probs: np.ndarray, partitions) -> tuple[np.ndarray, np.ndarray]:
     return h_classical, 1.0 - _purities(measured)
 
 
-def bridge_check(probs, blocks, tol: float = IDENTITY_TOL) -> bool:
+def bridge_check(probs, blocks) -> bool:
     """Classical partition entropy == quantum post-measurement entropy,
-    within tol, for the renormalized distribution."""
+    within IDENTITY_TOL, for the renormalized distribution."""
     h_classical, h_quantum = bridge_entropies(validate_distribution(probs), blocks)
-    return abs(h_quantum - h_classical) <= tol
+    return abs(h_quantum - h_classical) <= IDENTITY_TOL
 
 
 def random_distribution(n: int, seed) -> np.ndarray:

@@ -24,7 +24,7 @@ from math import isfinite, pi
 import numpy as np
 
 from . import amplitude_damping
-from .channels import (_kraus, _theorem_holds, apply_channel, exchange_entropy, extract_kraus,
+from .channels import (_theorem_holds, apply_channel, completeness_defect, exchange_entropy, extract_kraus,
                        verify_entropy_bound)
 from .classical import bridge_entropies, validate_distribution
 from .fuzz import SUITES, run_suite
@@ -65,9 +65,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--output", help="write the result to this file instead of stdout")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, run, help):  # each subcommand carries the handler main calls
+    def command(name, run, help):  # each subcommand carries the handler main calls and the parser its errors name
         p = sub.add_parser(name, help=help)
-        p.set_defaults(run=run)
+        p.set_defaults(run=run, parser=p)
         return p
 
     def add_state(p):
@@ -189,8 +189,8 @@ def _cmd_apply(parser, args) -> tuple[int, dict]:
 
 
 def _cmd_kraus(parser, args) -> tuple[int, dict]:
-    ops, defect = _kraus(_load_model(parser, args))  # extract_kraus, keeping the defect it checked
-    return EXIT_OK, {"operators": [matrix_to_json(e) for e in ops], "completeness_defect": defect}
+    ops = extract_kraus(_load_model(parser, args))
+    return EXIT_OK, {"operators": [matrix_to_json(e) for e in ops], "completeness_defect": completeness_defect(ops)}
 
 
 def _cmd_sweep(parser, args) -> tuple[int, str]:
@@ -275,7 +275,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if not 0.0 <= args.tol < 1.0:  # a NaN fails too
             parser.error(f"--tol must be a finite number in [0, 1), got {args.tol!r}")
-        code, payload = args.run(parser, args)
+        code, payload = args.run(args.parser, args)
         _emit(payload if isinstance(payload, str) else _render(payload, args), args)
     except SystemExit as exc:  # a usage error, also parser.error inside a command
         return int(exc.code or 0)

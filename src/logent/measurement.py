@@ -136,12 +136,12 @@ def _purity_split(rho: np.ndarray, ps: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return w.trace(axis1=-2, axis2=-1).real, pair.real
 
 
-def _measured_purities(rho, ps, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
-    """tr(rho^2) and tr(project(rho, ps)^2), rho checked Hermitian within tol after project's checks."""
+def _measured_purities(rho, ps) -> tuple[np.ndarray, np.ndarray]:
+    """tr(rho^2) and tr(project(rho, ps)^2), rho checked Hermitian within DEFAULT_TOL after project's checks."""
     rho = as_complex_matrix(rho)
     with np.errstate(invalid="ignore", over="ignore"):  # an inf state fails the check below
         rho_hat = project(rho, ps)
-    _require(_hermiticity_defects(rho), tol, "state not Hermitian: defect {:.3e}")  # project made rho square
+    _require(_hermiticity_defects(rho), DEFAULT_TOL, "state not Hermitian: defect {:.3e}")  # project made rho square
     return _purities(rho), _purities(rho_hat)
 
 
@@ -160,12 +160,12 @@ def _entropy_gains(purity: np.ndarray, purity_hat: np.ndarray) -> np.ndarray:
     return (1.0 - purity_hat) - (1.0 - purity)
 
 
-def entropy_nondecreasing(rho, ps, tol: float = DEFAULT_TOL) -> bool:
-    """Whether h(rho) <= h(rho_hat) + tol. Holds for every complete
+def entropy_nondecreasing(rho, ps) -> bool:
+    """Whether h(rho) <= h(rho_hat) + DEFAULT_TOL. Holds for every complete
     orthogonal projector set, basis-aligned or not."""
-    return bool(_nondecreasing(*_measured_purities(rho, ps, tol), tol))
+    return bool(_nondecreasing(*_measured_purities(rho, ps)))
 
 
-def _nondecreasing(purity: np.ndarray, purity_hat: np.ndarray, tol: float) -> np.ndarray:
+def _nondecreasing(purity: np.ndarray, purity_hat: np.ndarray) -> np.ndarray:
     """entropy_nondecreasing from the purities of states and of their measured states."""
-    return 1.0 - purity <= 1.0 - purity_hat + tol
+    return 1.0 - purity <= 1.0 - purity_hat + DEFAULT_TOL

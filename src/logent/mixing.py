@@ -125,17 +125,17 @@ def purify(rho) -> np.ndarray:
     return (evecs[:, order] * np.sqrt(lam)).reshape(-1)
 
 
-def purify_ensemble(ensemble: Ensemble, tol: float = DEFAULT_TOL) -> np.ndarray:
+def purify_ensemble(ensemble: Ensemble) -> np.ndarray:
     """|SB> = sum_i sqrt(p_i) |psi_i>|i> for an ensemble of pure states.
 
     The B register has one dimension per component and records which
     member was drawn; tracing it out returns mix(ensemble), while the
     B-side reduction has entries <psi_j|psi_i> sqrt(p_i p_j). Members
-    must be pure (largest eigenvalue within tol of 1).
+    must be pure (largest eigenvalue within DEFAULT_TOL of 1).
     """
     evals, evecs = np.linalg.eigh(ensemble.states)
-    i = int(np.argmin(1.0 - evals[:, -1] <= tol))  # the first impure member, or 0 when all are pure
-    _require(1.0 - evals[i, -1], tol, "ensemble member {1} is not pure: largest eigenvalue {2:.12g}",
+    i = int(np.argmin(1.0 - evals[:, -1] <= DEFAULT_TOL))  # the first impure member, or 0 when all are pure
+    _require(1.0 - evals[i, -1], DEFAULT_TOL, "ensemble member {1} is not pure: largest eigenvalue {2:.12g}",
              i, evals[i, -1])
     # Entry (s, i) of the S x B coefficient matrix is sqrt(p_i) psi_i[s].
     return (evecs[:, :, -1].T * np.sqrt(ensemble.weights)).reshape(-1)
@@ -158,8 +158,8 @@ def _schmidt_pairs(psi: np.ndarray, dim_a: int, dim_b: int) -> tuple[np.ndarray,
             1.0 - _purities(_partial_trace(rho, dim_a, dim_b, "b")))
 
 
-def purification_chain_check(ensemble: Ensemble, tol: float = DEFAULT_TOL) -> bool:
-    """Verify the mixing bound's proof chain link by link.
+def purification_chain_check(ensemble: Ensemble) -> bool:
+    """Verify the mixing bound's proof chain link by link, each within DEFAULT_TOL.
 
     h(mix) == h(rho_B)  (shared Schmidt spectrum of |SB>),
     h(rho_B) <= h(diag(rho_B))  (measuring in the record basis),
@@ -167,7 +167,7 @@ def purification_chain_check(ensemble: Ensemble, tol: float = DEFAULT_TOL) -> bo
     """
     n = len(ensemble)
     d = ensemble.dim
-    psi = purify_ensemble(ensemble, tol=tol)
+    psi = purify_ensemble(ensemble)
     rho_sb = density_from_pure(psi)
     h_mix = logical_entropy(mix(ensemble))
     rho_b = partial_trace(rho_sb, d, n, keep="b")
@@ -175,7 +175,7 @@ def purification_chain_check(ensemble: Ensemble, tol: float = DEFAULT_TOL) -> bo
     measured = project(rho_b, projectors_from_partition([[i] for i in range(n)], n))
     h_diag = logical_entropy(measured)
     h_w = weight_entropy(ensemble.weights)
-    return (abs(h_mix - h_b) <= tol) and (h_b <= h_diag + tol) and (abs(h_diag - h_w) <= tol)
+    return abs(h_mix - h_b) <= DEFAULT_TOL and h_b <= h_diag + DEFAULT_TOL and abs(h_diag - h_w) <= DEFAULT_TOL
 
 
 def random_ensemble(dim: int, n: int, seed, pure: bool = True) -> Ensemble:

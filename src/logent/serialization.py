@@ -167,7 +167,10 @@ def _pair_array(text: str, start: int, end: int) -> np.ndarray:
         raw = text[start:cut].encode("ascii")
         squeezed = b"," + raw.translate(None, _SPACE) + b","  # the commas the chunk was cut at
         skeletons.append(squeezed[1:-1].translate(None, _NUMBER))
-        if skeletons[-1].translate(None, b"[],") or b"[," in squeezed or b",]" in squeezed:
+        dense = np.frombuffer(squeezed, dtype=np.uint8)
+        left, right = dense[:-1], dense[1:]
+        if skeletons[-1].translate(None, b"[],") or (
+                (left == ord("[")) & (right == ord(",")) | (left == ord(",")) & (right == ord("]"))).any():
             raise ValueError("a character or an empty slot no pair array holds")
         parts.append(np.array(json.loads(b"[" + raw.translate(_UNBRACKET) + b"]"), dtype=np.float64))
         start = cut + 1
@@ -227,7 +230,7 @@ def _lift_pairs(obj, arrays: list):
     return out
 
 
-def dump_json(obj, path: str | None = None) -> str:
+def dump_json(obj) -> str:
     """json.dumps(obj, indent=2, allow_nan=False), byte for byte. Each "data" list of
     [float, float] pairs is written in bulk, one float.__repr__ pass joined with the fixed
     indent separators; json.dumps writes the rest around a placeholder. On any doubt (a
@@ -244,10 +247,6 @@ def dump_json(obj, path: str | None = None) -> str:
             if "n" in body:  # inf, -inf or nan: no finite repr holds an "n"
                 raise ValueError("non-finite pair")
             text += [f"[\n{ind}  [\n{ind}    ", body, f"\n{ind}  ]\n{ind}]", after]
-        text = "".join(text)
+        return "".join(text)
     except (ValueError, TypeError, RecursionError):
-        text = json.dumps(obj, indent=2, allow_nan=False)
-    if path is not None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    return text
+        return json.dumps(obj, indent=2, allow_nan=False)

@@ -138,6 +138,19 @@ class TestVerifyClosedForms:
         with pytest.raises(AssertionError, match="^bound routes disagree: "):
             verify_closed_forms(0.5, 0.5, 0.5, 0.7)
 
+    @pytest.mark.parametrize("theta", [0.0, 0.7, 2.0])  # at pi/2 the two purities of |+> are equal
+    def test_swapped_block_purities_raise(self, monkeypatch, theta):
+        # the bound check passes (the bound is untouched); only diag W can catch the swap
+        real = logent.amplitude_damping._closed_forms
+
+        def swapped(*args):
+            rho, bound, out_purity, (p00, p11) = real(*args)
+            return rho, bound, out_purity, (p11, p00)
+
+        monkeypatch.setattr(logent.amplitude_damping, "_closed_forms", swapped)
+        with pytest.raises(AssertionError, match="^block purity routes disagree: "):
+            verify_closed_forms(0.5, 0.5, 0.5, theta)
+
     def test_a_block_weight_fault_breaks_the_closed_form_agreement(self, monkeypatch):
         # the closed forms check the Kraus route that verify_entropy_bound runs, not a
         # separate dense one: a fault in channels._block_weights must show here

@@ -282,6 +282,18 @@ class TestSweep:
         assert (code, out) == (2, "")
         assert err.startswith("logent: error: bound routes disagree: ") and err.count("\n") == 1
 
+    def test_swapped_block_purities_exit_2(self, capsys, monkeypatch, plus_state):
+        real = logent.amplitude_damping._closed_forms
+
+        def swapped(*args):
+            rho, bound, out_purity, (p00, p11) = real(*args)
+            return rho, bound, out_purity, (p11, p00)
+
+        monkeypatch.setattr(logent.amplitude_damping, "_closed_forms", swapped)
+        code, out, err = run_cli(capsys, "sweep", "--state", plus_state, "--steps", "64")
+        assert (code, out) == (2, "")
+        assert err == "logent: error: block purity routes disagree: (1.0, 0.0) vs (0.0, 1.0)\n"
+
     def test_shape_and_internal_consistency(self, capsys, plus_state):
         code, out, _ = run_cli(capsys, "sweep", "--state", plus_state,
                                "--steps", "16")
@@ -339,7 +351,8 @@ class TestFuzz:
     def test_dimension_bound_below_one_is_a_usage_error(self, capsys, argv, message):
         code, out, err = run_cli(capsys, "fuzz", "--trials", "3", *argv)
         assert (code, out) == (64, "")
-        assert err.endswith(f"logent: error: {message}\n")
+        assert err.startswith("usage: logent fuzz ")
+        assert err.endswith(f"logent fuzz: error: {message}\n")
 
     def test_deterministic_output(self, capsys):
         args = ("--seed", "5", "fuzz", "--suite", "all", "--trials", "6",
@@ -425,26 +438,26 @@ class TestUsageErrors:
         assert "not both" in err
 
 
-FINITE_RANGE = "--theta-start and --theta-end must bound a finite range, got a span of"
+FINITE_RANGE = "logent sweep: error: --theta-start and --theta-end must bound a finite range, got a span of"
 
 
 class TestBadInput:
     @pytest.mark.filterwarnings("error")  # a warning before the one error line fails the row
     @pytest.mark.parametrize("argv, code, message", [
         (("apply", "--state", "{rho3}", "--channel", "amplitude-damping", "--theta", "0.3"), 1,
-         "dimension mismatch: state is (3, 3), operator input side is 2"),
+         "logent: error: dimension mismatch: state is (3, 3), operator input side is 2"),
         (("apply", "--state", "{plus}", "--model", "{model}"), 1,
-         "dimension mismatch: unitary is (4, 4), joint space is 6"),
-        (("sweep", "--state", "{rho3}"), 1, "sweep needs a single-qubit state, got shape (3, 3)"),
-        (("sweep", "--state", "{plus}", "--steps", "0"), 64, "--steps must be >= 1"),
+         "logent: error: dimension mismatch: unitary is (4, 4), joint space is 6"),
+        (("sweep", "--state", "{rho3}"), 1, "logent: error: sweep needs a single-qubit state, got shape (3, 3)"),
+        (("sweep", "--state", "{plus}", "--steps", "0"), 64, "logent sweep: error: --steps must be >= 1"),
         (("sweep", "--state", "{plus}", "--steps", "3", "--theta-end=inf"), 64, f"{FINITE_RANGE} inf"),
         (("sweep", "--state", "{plus}", "--steps", "3", "--theta-start=nan"), 64, f"{FINITE_RANGE} nan"),
         (("sweep", "--state", "{plus}", "--steps", "3", "--theta-start=-1e308", "--theta-end=1e308"), 64,
          f"{FINITE_RANGE} inf"),
         (("sweep", "--state", "{plus}", "--channel", "amplitude-damping"), 64,
-         "unrecognized arguments: --channel amplitude-damping"),
+         "logent: error: unrecognized arguments: --channel amplitude-damping"),
         (("bound", "--state", "{plus}"), 64,
-         "a coupling is required: --model FILE or --channel NAME --theta X"),
+         "logent bound: error: a coupling is required: --model FILE or --channel NAME --theta X"),
     ], ids=["apply-state-size", "model-dims", "sweep-qubit", "sweep-steps", "sweep-theta-end-inf",
             "sweep-theta-start-nan", "sweep-span-past-float64", "sweep-has-no-channel", "bound-coupling"])
     def test_rejection_exits_with_one_error_line(self, capsys, tmp_path, plus_state, argv, code, message):
@@ -455,8 +468,8 @@ class TestBadInput:
                                       "dim_s": 2, "dim_e": 3})}
         got, out, err = run_cli(capsys, *(a.format(**files) for a in argv))
         assert (got, out) == (code, "")
-        assert err.endswith(f"logent: error: {message}\n")
-        assert code == 64 or err.count("\n") == 1
+        assert err.endswith(f"{message}\n")  # the message names the parser whose usage comes first
+        assert err.startswith(f"usage: {message.split(': error: ')[0]} [-h]") if code == 64 else err.count("\n") == 1
 
     def test_invalid_density(self, capsys, tmp_path):
         bad = write_json(tmp_path / "bad.json",

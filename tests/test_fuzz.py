@@ -260,7 +260,7 @@ def _oracle_trial(suite, t, rng, dim_s_max, dim_e_max):
         values = [residual, abs(gain - mass)]
         bad = [] if residual <= 1e-10 else [f"purity identity residual {residual!r}"]
         bad += [] if values[1] <= 1e-10 else [f"entropy gain {gain!r} != off-block weight {mass!r}"]
-        bad += [] if entropy_nondecreasing(rho, ps, tol=1e-9) else ["entropy decreased under measurement"]
+        bad += [] if entropy_nondecreasing(rho, ps) else ["entropy decreased under measurement"]
         if t % 2 == 1:
             values.append(abs((1.0 - projected) - mass))
             bad += [] if values[2] <= 1e-10 else [f"pure-state projected entropy residual {values[2]!r}"]

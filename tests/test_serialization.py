@@ -9,7 +9,7 @@ import pytest
 import logent.fuzz
 from logent import serialization
 from logent.amplitude_damping import coupling_model
-from logent.channels import CouplingModel, _kraus
+from logent.channels import CouplingModel, completeness_defect, extract_kraus
 from logent.fuzz import run_suite
 from logent.serialization import (distribution_from_json, dump_json,
                                   ensemble_from_json, load_json,
@@ -188,7 +188,7 @@ def test_distribution_from_json():
 def test_dump_and_load_json(tmp_path):
     path = tmp_path / "m.json"
     m = np.array([[0.5 + 0.25j]], dtype=complex)
-    dump_json(matrix_to_json(m), str(path))
+    path.write_text(dump_json(matrix_to_json(m)) + "\n", encoding="utf-8")
     npt.assert_array_equal(matrix_from_json(load_json(str(path))), m)
 
 
@@ -205,8 +205,8 @@ def test_dump_json_writes_the_bytes_of_json_dumps(monkeypatch):
     for obj in _wide_range_matrices():
         _assert_writes_like_json_dumps(obj)
     model = CouplingModel(random_unitary(24, 3), dim_s=6, dim_e=4)
-    ops, defect = _kraus(model)
-    kraus = {"operators": [matrix_to_json(e) for e in ops], "completeness_defect": defect}
+    ops = extract_kraus(model)
+    kraus = {"operators": [matrix_to_json(e) for e in ops], "completeness_defect": completeness_defect(ops)}
     arrays = []
     serialization._lift_pairs(kraus, arrays)
     assert [len(a) for a in arrays] == [36] * 4  # every operator goes through the bulk path
