@@ -130,11 +130,15 @@ def _load_state(args):
 def _load_model(parser, args):
     if args.model and args.channel:
         parser.error("give either --model or --channel, not both")
+    if args.model and args.theta is not None:
+        parser.error("--theta goes with --channel, not --model")
     if args.model:
         return model_from_json(load_json(args.model))
     if args.channel:
         if args.theta is None:
             parser.error("--channel requires --theta")
+        if not isfinite(args.theta):
+            parser.error(f"--theta must be a finite angle, got {args.theta!r}")
         return amplitude_damping.coupling_model(args.theta)
     parser.error("a coupling is required: --model FILE or --channel NAME --theta X")
 

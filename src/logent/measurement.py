@@ -63,9 +63,9 @@ def _partition_projectors(parts, dim: int) -> np.ndarray:
     return ps
 
 
-def validate_projectors(ps, tol: float = IDENTITY_TOL) -> np.ndarray:
-    """Check a complete orthogonal projector set: each P Hermitian and
-    idempotent, P_i P_j = 0 for i != j, and sum_i P_i = I.
+def validate_projectors(ps) -> np.ndarray:
+    """Check a complete orthogonal projector set within IDENTITY_TOL: each P
+    Hermitian and idempotent, P_i P_j = 0 for i != j, and sum_i P_i = I.
 
     Returns the set as one (k, n, n) stack. The first failing check is
     reported: projector by projector in order, then the first misshaped
@@ -82,18 +82,18 @@ def validate_projectors(ps, tol: float = IDENTITY_TOL) -> np.ndarray:
     ps = np.array(mats[:shaped]).reshape(shaped, dim, dim)
     herm = _hermiticity_defects(ps)
     with np.errstate(invalid="ignore", over="ignore"):  # a set with an inf or huge entry fails herm
-        bad = _first((herm <= tol) & (np.abs(ps @ ps - ps).max(axis=(-2, -1)) <= tol))
+        bad = _first((herm <= IDENTITY_TOL) & (np.abs(ps @ ps - ps).max(axis=(-2, -1)) <= IDENTITY_TOL))
     if bad < shaped:
-        defect = "Hermitian" if not herm[bad] <= tol else "idempotent"
-        raise ValueError(f"projector {bad} is not {defect} within {tol:.1e}")
+        defect = "Hermitian" if not herm[bad] <= IDENTITY_TOL else "idempotent"
+        raise ValueError(f"projector {bad} is not {defect} within {IDENTITY_TOL:.1e}")
     if shaped < len(mats):
         raise ValueError(f"projector {shaped} has shape {mats[shaped].shape}, expected {(dim, dim)}")
     for i in range(shaped - 1):
-        bad = _first(np.abs(ps[i] @ ps[i + 1:]).max(axis=(-2, -1)) <= tol)
+        bad = _first(np.abs(ps[i] @ ps[i + 1:]).max(axis=(-2, -1)) <= IDENTITY_TOL)
         if bad < shaped - 1 - i:
-            raise ValueError(f"projectors {i} and {i + 1 + bad} are not orthogonal within {tol:.1e}")
-    _require(np.abs(ps.sum(axis=0) - np.eye(dim)).max(), tol,
-             "projectors do not sum to the identity within {1:.1e}", tol)
+            raise ValueError(f"projectors {i} and {i + 1 + bad} are not orthogonal within {IDENTITY_TOL:.1e}")
+    _require(np.abs(ps.sum(axis=0) - np.eye(dim)).max(), IDENTITY_TOL,
+             f"projectors do not sum to the identity within {IDENTITY_TOL:.1e}")
     return ps
 
 

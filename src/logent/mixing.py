@@ -87,11 +87,11 @@ class MixReport:
     orthogonal_support: bool
 
 
-def orthogonal_support(ensemble: Ensemble, tol: float = IDENTITY_TOL) -> bool:
-    """Whether all component pairs overlap less than tol in tr(rho_i rho_j). Each member is
-    compared with all its successors at once, so no array outgrows the ensemble."""
+def orthogonal_support(ensemble: Ensemble) -> bool:
+    """Whether all component pairs overlap less than IDENTITY_TOL in tr(rho_i rho_j). Each member
+    is compared with all its successors at once, so no array outgrows the ensemble."""
     f = ensemble.states.reshape(len(ensemble), -1)
-    return all((np.abs(_dots(f[i + 1:], f[i])) < tol).all() for i in range(len(f) - 1))
+    return all((np.abs(_dots(f[i + 1:], f[i])) < IDENTITY_TOL).all() for i in range(len(f) - 1))
 
 
 def mixing_bound_report(ensemble: Ensemble) -> MixReport:

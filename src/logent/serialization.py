@@ -112,16 +112,12 @@ def model_from_json(obj) -> CouplingModel:
                          env_init=obj.get("env_init", 0))
 
 
-def partition_from_json(obj) -> list[list[int]]:
+def partition_from_json(obj) -> list[list]:
     _json_object(obj, "partition", "blocks")
     blocks = obj["blocks"]
     if not isinstance(blocks, list) or not all(isinstance(b, list) for b in blocks):
         raise ValueError("'blocks' must be a list of lists of indices")
-    for b in blocks:
-        for i in b:
-            if not isinstance(i, int) or isinstance(i, bool):
-                raise ValueError(f"partition index {i!r} is not an integer")
-    return blocks
+    return blocks  # validate_partition checks the indices
 
 
 def ensemble_from_json(obj) -> Ensemble:

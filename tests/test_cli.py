@@ -458,10 +458,24 @@ class TestBadInput:
          "logent: error: unrecognized arguments: --channel amplitude-damping"),
         (("bound", "--state", "{plus}"), 64,
          "logent bound: error: a coupling is required: --model FILE or --channel NAME --theta X"),
+        (("bound", "--state", "{plus}", "--model", "{model}", "--theta", "0.3"), 64,
+         "logent bound: error: --theta goes with --channel, not --model"),
+        (("kraus", "--channel", "amplitude-damping", "--theta=inf"), 64,
+         "logent kraus: error: --theta must be a finite angle, got inf"),
+        (("kraus", "--channel", "amplitude-damping", "--theta=nan"), 64,
+         "logent kraus: error: --theta must be a finite angle, got nan"),
+        (("prop1", "--state", "{plus}", "--partition", "{half}"), 1,
+         "logent: error: partition index 0.5 is not an integer"),
+        (("bridge", "--dist", "{dist}", "--partition", "{half}"), 1,
+         "logent: error: partition index 0.5 is not an integer"),
     ], ids=["apply-state-size", "model-dims", "sweep-qubit", "sweep-steps", "sweep-theta-end-inf",
-            "sweep-theta-start-nan", "sweep-span-past-float64", "sweep-has-no-channel", "bound-coupling"])
+            "sweep-theta-start-nan", "sweep-span-past-float64", "sweep-has-no-channel", "bound-coupling",
+            "bound-theta-with-model", "kraus-theta-inf", "kraus-theta-nan", "prop1-float-index",
+            "bridge-float-index"])
     def test_rejection_exits_with_one_error_line(self, capsys, tmp_path, plus_state, argv, code, message):
         files = {"plus": plus_state,
+                 "half": write_json(tmp_path / "half.json", {"blocks": [[0.5], [1]]}),
+                 "dist": write_json(tmp_path / "dist.json", {"probs": [0.5, 0.5]}),
                  "rho3": write_json(tmp_path / "rho3.json", matrix_to_json(np.eye(3, dtype=complex) / 3)),
                  "model": write_json(tmp_path / "model.json",
                                      {"unitary": matrix_to_json(np.eye(4, dtype=complex)),

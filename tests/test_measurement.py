@@ -49,7 +49,9 @@ def test_partition_projectors_are_complete_and_orthogonal_by_construction():
         partitions = [random_partition(dim, rng) for _ in range(3)] + [[list(range(dim))],
                                                                       [[i] for i in range(dim)]]
         for ps in _partition_projectors(partitions, dim):  # each zero-padded to the stack's block count
-            validate_projectors(ps, tol=0.0)
+            assert np.array_equal(ps @ ps, ps) and np.array_equal(ps, ps.conj().swapaxes(-2, -1))
+            assert not any((ps[i] @ ps[i + 1:]).any() for i in range(len(ps)))
+            assert np.array_equal(ps.sum(axis=0), np.eye(dim))
 
 
 def test_projectors_from_partition_form_valid_set():

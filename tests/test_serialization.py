@@ -145,8 +145,6 @@ def test_partition_from_json():
     assert partition_from_json({"blocks": [[0, 1], [2]]}) == [[0, 1], [2]]
     with pytest.raises(ValueError, match="blocks"):
         partition_from_json({})
-    with pytest.raises(ValueError, match="not an integer"):
-        partition_from_json({"blocks": [[0.5]]})
 
 
 def test_ensemble_from_json():
