@@ -123,8 +123,9 @@ def fuzz_bound(trials: int, dim_s_max: int, dim_e_max: int, seed: int) -> dict:
     """Off-block bound on Haar-random couplings of random pure states.
 
     Checks per trial: slack >= -1e-9, the report's two proof steps
-    (projected entropy equals the bound, output entropy does not exceed
-    the projected entropy, both within verify_entropy_bound's tol), and
+    (projected - bound = h(rho) = 0 within the completeness check's slop,
+    (1 + 2 ds) 1e-9; output entropy at most the projected entropy, within
+    verify_entropy_bound's tol), and
     slack = sum_{i != j} |W_ij|^2 (W exchange_entropy's environment state)
     within 1e-10, which a bound that is too loose fails. Each trial's model
     and report come from the public CouplingModel and verify_entropy_bound.

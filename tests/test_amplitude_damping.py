@@ -82,9 +82,7 @@ class TestVerifyClosedForms:
                 a, b, c = pure_abc(seed + 60)
                 report = verify_closed_forms(a, b, c, theta)
                 assert report.hypothesis_pure
-                assert report.entropy_matches_closed_form
-                assert report.bound_holds
-                assert report.projected_equals_bound
+                assert report.theorem_holds
                 assert abs(report.entropy - report.closed_form_entropy) < 1e-10
                 assert abs(report.numeric_bound - report.bound) < 1e-10
 
@@ -102,20 +100,20 @@ class TestVerifyClosedForms:
                                                                1.0 - closed_form_purity(0.5, 0.5, 0.5, np.pi / 4))
 
     def test_mixed_input_entropy_still_matches(self):
-        # the purity identity holds for any input, pure or not
+        # the purity identity, and projected - bound = h(rho), hold for any input, pure or not
         for seed in range(100):
             rho = random_density(2, seed)
             a, b, c = rho[0, 0].real, rho[0, 1], rho[1, 1].real
             theta = 0.1 + 3.0 * (seed / 99.0)
             report = verify_closed_forms(a, b, c, theta)
-            assert report.entropy_matches_closed_form
+            assert report.theorem_holds
 
     def test_maximally_mixed_at_zero_angle_breaks_the_bound(self):
         # untouched by the identity channel, entropy 1/2 exceeds bound 0;
         # the inequality really does need a pure input
         report = verify_closed_forms(0.5, 0.0, 0.5, 0.0)
         assert not report.hypothesis_pure
-        assert not report.bound_holds
+        assert report.entropy > report.bound
         assert abs(report.entropy - 0.5) < 1e-14
         assert report.bound == 0.0
 
@@ -127,15 +125,16 @@ class TestVerifyClosedForms:
         assert abs(report.block_purities[1] - expected[1]) < 1e-10
 
     @pytest.mark.parametrize("offset", [1e-9, float("nan")])
-    def test_bound_routes_that_disagree_raise(self, monkeypatch, offset):
+    @pytest.mark.parametrize("field", ["bound", "entropy"])
+    def test_routes_that_disagree_raise(self, monkeypatch, field, offset):
         real = logent.amplitude_damping._bound_report
 
         def shifted(*args):
             report, w = real(*args)
-            return dataclasses.replace(report, bound=report.bound + offset), w
+            return dataclasses.replace(report, **{field: getattr(report, field) + offset}), w
 
         monkeypatch.setattr(logent.amplitude_damping, "_bound_report", shifted)
-        with pytest.raises(AssertionError, match="^bound routes disagree: "):
+        with pytest.raises(AssertionError, match=f"^{field} routes disagree: "):
             verify_closed_forms(0.5, 0.5, 0.5, 0.7)
 
     @pytest.mark.parametrize("theta", [0.0, 0.7, 2.0])  # at pi/2 the two purities of |+> are equal
@@ -182,5 +181,5 @@ class TestVerifyClosedForms:
         with pytest.raises(TraceError, match=r"tol 1\.000e-09"):
             verify_closed_forms(a, b, c, 0.7)
         report = verify_closed_forms(a, b, c, 0.7, tol=1e-6)
-        assert report.entropy_matches_closed_form
+        assert report.theorem_holds
         assert abs(report.numeric_bound - report.bound) < 1e-12

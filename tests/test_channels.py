@@ -5,7 +5,7 @@ import numpy.testing as npt
 import pytest
 
 from logent.amplitude_damping import coupling_model
-from logent.channels import (CouplingModel, apply_channel, block_decompose,
+from logent.channels import (CouplingModel, _bound_report, _theorem_holds, apply_channel, block_decompose,
                              completeness_defect, couple, env_kraus, exchange_entropy,
                              extract_kraus, off_block_bound, verify_entropy_bound)
 from logent.linalg import DEFAULT_TOL, partial_trace
@@ -367,6 +367,19 @@ class TestVerifyEntropyBound:
             assert report.slack >= -1e-9
             assert report.projected_equals_bound
             assert report.entropy_le_projected
+
+    def test_proof_steps_hold_at_zero_tol_for_pure_input_of_unit_trace(self):
+        # projected - bound = h(rho) is an identity, checked within the completeness slop: a zero tol
+        # tightens the slack and entropy <= projected checks only
+        for seed in range(500):
+            ds, de = 2 + seed % 4, 2 + seed % 3
+            rho = density_from_pure(random_pure_state(ds, seed))
+            np.fill_diagonal(rho, rho.diagonal().real)
+            for k in np.repeat(np.arange(ds), 2):  # nudge the diagonal until the trace is 1 to the bit
+                rho[k, k] += 1.0 - np.trace(rho).real
+            assert np.trace(rho) == 1.0
+            report, _ = _bound_report(rho, extract_kraus(random_model(ds, de, seed + 1000)), 0.0)
+            assert _theorem_holds(report, 0.0), (seed, report)
 
     def test_rejects_invalid_density(self):
         with pytest.raises(ValueError):

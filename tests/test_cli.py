@@ -97,7 +97,7 @@ class TestBound:
         ("plus", {"entropy_le_projected": False}, 2),
         ("mixed", {"entropy_le_projected": False}, 2),
         ("plus", {"projected_equals_bound": False}, 2),
-        ("mixed", {"projected_equals_bound": False}, 0),
+        ("mixed", {"projected_equals_bound": False}, 2),
     ])
     @pytest.mark.parametrize("command,module,argv", [
         ("bound", logent.channels, ("--channel", "amplitude-damping", "--theta", "0.7")),
@@ -105,9 +105,9 @@ class TestBound:
     ], ids=["bound", "sweep"])
     def test_failed_proof_step_exits_2(self, capsys, monkeypatch, plus_state, mixed_state,
                                        command, module, argv, state, change, code):
-        # entropy <= projected is guaranteed for every input, projected == bound
-        # only under hypothesis_pure; bound and every sweep row read the one verdict,
-        # and the output is written in full either way
+        # entropy <= projected and projected - bound = h(rho) are guaranteed for every
+        # input; bound and every sweep row read the one verdict, and the output is
+        # written in full either way
         real = module._bound_report
 
         def forged(rho, ops, tol):
@@ -123,6 +123,51 @@ class TestBound:
                                             "hypothesis_pure"}
         else:
             assert out.split("\n")[0] == TestSweep.HEADER and out.count("\n") == 5
+
+    def test_block_weight_fault_exits_2_at_any_tol(self, capsys, monkeypatch, plus_state):
+        # projected - bound = h(rho) is an identity, checked within the completeness slop whatever --tol says
+        real = logent.channels._block_weights
+
+        def faulty(rho, ops):
+            w = real(rho, ops)
+            w[..., 0, 0] += 1e-6
+            return w
+
+        monkeypatch.setattr(logent.channels, "_block_weights", faulty)
+        code, out, err = run_cli(capsys, "--tol", "0.5", "bound", "--state", plus_state,
+                                 "--channel", "amplitude-damping", "--theta", "0.3")
+        assert (code, err) == (2, "") and set(json.loads(out)) >= {"bound", "projected_entropy"}
+
+    @pytest.mark.parametrize("argv", [
+        ("--tol", "0", "bound", "--state", "{plus}", "--channel", "amplitude-damping", "--theta", "0.3"),
+        ("--tol", "0", "sweep", "--state", "{plus}", "--steps", "3"),
+        ("--tol", "0", "exchange", "--state", "{exact}", "--channel", "amplitude-damping", "--theta", "0.3"),
+        ("--tol", "1e-6", "bound", "--state", "{drift}", "--channel", "amplitude-damping", "--theta", "0.3"),
+        ("--tol", "1e-6", "sweep", "--state", "{drift}", "--steps", "64"),
+        ("--tol", "1e-4", "bound", "--state", "{skew_plus}", "--channel", "amplitude-damping", "--theta", "0.3"),
+        ("--tol", "1e-4", "sweep", "--state", "{skew_plus}", "--steps", "3"),
+        ("--tol", "1e-4", "bound", "--state", "{skew_mixed}", "--channel", "amplitude-damping", "--theta", "0.3"),
+        ("--tol", "1e-4", "sweep", "--state", "{skew_mixed}", "--steps", "3"),
+    ], ids=["bound-tol-0", "sweep-tol-0", "exchange-tol-0", "bound-drift", "sweep-drift",
+            "bound-skew-plus", "sweep-skew-plus", "bound-skew-mixed", "sweep-skew-mixed"])
+    def test_valid_input_exits_0(self, capsys, tmp_path, plus_state, argv):
+        # exact: a seeded mixed state, exactly Hermitian and of exact unit trace;
+        # drift: |+><+| scaled to trace 1 + 8e-7, so h(rho) is -1.6e-6;
+        # skew: a Hermiticity defect of 9e-5, within --tol 1e-4, on |+><+| and on a mixed state
+        exact = random_density(2, 6)
+        exact = (exact + exact.conj().T) / 2
+        exact[1, 1] = 1.0 - exact[0, 0]
+        assert np.trace(exact) == 1.0 and np.array_equal(exact, exact.conj().T)
+        skew = np.array([[0.0, 4.5e-5], [-4.5e-5, 0.0]], dtype=complex)
+        files = {"plus": plus_state, "exact": write_json(tmp_path / "exact.json", matrix_to_json(exact)),
+                 "drift": write_json(tmp_path / "drift.json",
+                                     matrix_to_json(np.full((2, 2), 0.5 + 4e-7, dtype=complex))),
+                 "skew_plus": write_json(tmp_path / "skew_plus.json",
+                                         matrix_to_json(np.full((2, 2), 0.5, dtype=complex) + skew)),
+                 "skew_mixed": write_json(tmp_path / "skew_mixed.json",
+                                          matrix_to_json(np.array([[0.7, 0.2], [0.2, 0.3]], dtype=complex) + skew))}
+        code, out, err = run_cli(capsys, *(a.format(**files) for a in argv))
+        assert (code, err) == (0, "") and out
 
 
 class TestApplyAndKraus:
@@ -260,8 +305,8 @@ class TestSweep:
         zero = write_json(tmp_path / "zero.json", matrix_to_json(np.diag([1.0, 0.0]).astype(complex)))
         monkeypatch.setattr(logent.amplitude_damping, "_closed_forms", forged)
         code, out, err = run_cli(capsys, "sweep", "--state", zero, "--steps", "4")
-        assert (code, err) == (2, "")
-        assert len(out.strip().split("\n")) == 5
+        assert (code, out) == (2, "")
+        assert err.startswith("logent: error: entropy routes disagree: ") and err.count("\n") == 1
         monkeypatch.undo()
         # the drift state CI sweeps keeps its identity at every angle
         rho = np.array([[0.5 + 5e-8, 0.5], [0.5, 0.5]], dtype=complex)
