@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, NORM_TOL, _hermiticity_defects, _on_space, _require, as_complex_matrix
+from .linalg import DEFAULT_TOL, NORM_TOL, _hermiticity_defects, _matrix_stack, _on_space, _require, as_complex_matrix
 from .states import _norms, _purities, validate_density
 
 _GRAM_ROWS = 128  # rows of A per block of the Gram-defect walk
@@ -111,31 +111,15 @@ def extract_kraus(model) -> np.ndarray:
     violation means the model is corrupt).
     """
     is_model = isinstance(model, CouplingModel)
-    ops = _kraus_stack(model.unitary, model.dim_s, model.env_init) if is_model else _operator_stack(model)
+    ops = _kraus_stack(model.unitary, model.dim_s, model.env_init) if is_model else _matrix_stack(model, "operator")
     _require(completeness_defect(ops), DEFAULT_TOL, "Kraus completeness violated: sum E†E deviates from I by {:.3e}")
-    return ops
-
-
-def _operator_stack(ops) -> np.ndarray:
-    """Coerce Kraus operators (a stack or a sequence of equally shaped matrices) to (k, m, n) complex128."""
-    shapes = []
-    for i, e in enumerate(ops if isinstance(ops, (list, tuple)) else ()):
-        try:
-            shapes.append(np.shape(e))
-        except ValueError:  # numpy's error for nested rows of unequal length
-            raise ValueError(f"operator {i} is not a matrix: its rows differ in length") from None
-        if shapes[i] != shapes[0]:
-            raise ValueError(f"operator {i} has shape {shapes[i]}, expected {shapes[0]}")
-    ops = np.asarray(ops, dtype=np.complex128)
-    if ops.ndim != 3 or 0 in ops.shape:
-        raise ValueError(f"expected a non-empty stack of 2-D matrices, got shape {ops.shape}")
     return ops
 
 
 def completeness_defect(ops) -> float:
     """Largest entrywise deviation of sum_i E_i† E_i from the identity, read off
     the block upper triangle of flat† flat (one block, k n^3, for n <= 128)."""
-    flat = _operator_stack(ops)
+    flat = _matrix_stack(ops, "operator")
     flat = flat.reshape(-1, flat.shape[2])  # the E_i stacked as rows: flat† flat = sum E_i† E_i
     return _gram_defect(flat.conj().T)
 
@@ -144,7 +128,7 @@ def apply_channel(rho, ops) -> np.ndarray:
     """sum_i E_i rho E_i†, rho n x n for operators of input side n; trace-preserving only when
     ops are complete, which extract_kraus and completeness_defect check and this does not."""
     rho = as_complex_matrix(rho)
-    ops = _operator_stack(ops)
+    ops = _matrix_stack(ops, "operator")
     return _channel(_on_space(rho, ops.shape[2], "operator input side"), ops)
 
 

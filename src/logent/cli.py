@@ -29,7 +29,7 @@ from .channels import (_theorem_holds, apply_channel, completeness_defect, excha
 from .classical import bridge_entropies, validate_distribution
 from .fuzz import SUITES, run_suite
 from .linalg import DEFAULT_TOL, IDENTITY_TOL
-from .measurement import projectors_from_partition, purity_decomposition
+from .measurement import _partition_projectors, _purity_split, validate_partition
 from .mixing import mixing_bound_report
 from .serialization import (distribution_from_json, dump_json, load_json,
                             matrix_from_json, matrix_to_json, model_from_json,
@@ -239,9 +239,9 @@ def _cmd_exchange(parser, args) -> tuple[int, dict]:
 
 def _cmd_prop1(parser, args) -> tuple[int, dict]:
     rho = _load_state(args)
-    blocks = partition_from_json(load_json(args.partition))
-    ps = projectors_from_partition(blocks, rho.shape[0])
-    projected_purity, mass = purity_decomposition(rho, ps)
+    blocks, n = partition_from_json(load_json(args.partition)), rho.shape[0]
+    ps = _partition_projectors([validate_partition(blocks, n)], n)[0]  # checked as a partition, as fuzz prop1 does
+    projected_purity, mass = map(float, _purity_split(rho, ps))
     pur = purity(rho)
     residual = abs(pur - (projected_purity + mass))
     payload = {"purity": pur, "projected_purity": projected_purity,

@@ -35,17 +35,32 @@ def _on_space(m: np.ndarray, n: int, space: str, what: str = "state", **dims: in
     return m
 
 
-def as_complex_matrix(m, name: str = "") -> np.ndarray:
-    """Coerce to a 2-D complex128 array (no copy when already one); a ragged m is reported by name if given."""
+def as_complex_matrix(m) -> np.ndarray:
+    """Coerce to a 2-D complex128 array (no copy when already one); a list of matrices is read by _matrix_stack."""
     try:
         out = np.asarray(m)
     except ValueError:  # numpy's error for nested rows of unequal length
-        raise ValueError(f"{name} is not a matrix: its rows differ in length" if name
-                         else "expected a 2-D matrix, got rows of unequal length") from None
+        raise ValueError("expected a 2-D matrix, got rows of unequal length") from None
     out = out.astype(np.complex128, copy=False)
     if out.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got ndim={out.ndim}")
     return out
+
+
+def _matrix_stack(items, what: str) -> np.ndarray:
+    """Matrices (a stack, or a list or tuple of one shape) as (k, m, n) complex128; a bad item is named by index."""
+    shapes = []
+    for i, e in enumerate(items if isinstance(items, (list, tuple)) else ()):
+        try:
+            shapes.append(np.shape(e))
+        except ValueError:  # numpy's error for nested rows of unequal length
+            raise ValueError(f"{what} {i} is not a matrix: its rows differ in length") from None
+        if shapes[i] != shapes[0]:
+            raise ValueError(f"{what} {i} has shape {shapes[i]}, expected {shapes[0]}")
+    items = np.asarray(items, dtype=np.complex128)
+    if items.ndim != 3 or 0 in items.shape:
+        raise ValueError(f"expected a non-empty stack of 2-D matrices, got shape {items.shape}")
+    return items
 
 
 def hermiticity_defect(m) -> float:

@@ -19,8 +19,8 @@ from __future__ import annotations
 import numpy as np
 
 from .channels import _block_weights, apply_channel
-from .linalg import (DEFAULT_TOL, IDENTITY_TOL, ROUNDING_TOL, _first, _hermiticity_defects, _on_space,
-                     _require, as_complex_matrix)
+from .linalg import (DEFAULT_TOL, IDENTITY_TOL, ROUNDING_TOL, _first, _hermiticity_defects, _matrix_stack,
+                     _on_space, _require, as_complex_matrix)
 from .states import _purities
 
 
@@ -68,31 +68,25 @@ def validate_projectors(ps) -> np.ndarray:
     Hermitian and idempotent, P_i P_j = 0 for i != j, and sum_i P_i = I.
 
     Returns the set as one (k, n, n) stack. The first failing check is
-    reported: projector by projector in order, then the first misshaped
-    one, then each projector against its successors, then completeness.
-    Partition projectors are checked as partitions instead.
+    reported: structure first (the set read as one stack of equally shaped
+    matrices, then square), then projector by projector in order, then each
+    projector against its successors, then completeness. Partition
+    projectors are checked as partitions instead.
     """
-    mats = [as_complex_matrix(p, f"projector {i}") for i, p in enumerate(ps)]
-    if not mats:
-        raise ValueError("empty projector set")
-    dim = mats[0].shape[0]
-    if dim == 0:
-        raise ValueError(f"projector 0 has shape {mats[0].shape}: its dimension is empty")
-    shaped = next((i for i, p in enumerate(mats) if p.shape != (dim, dim)), len(mats))
-    ps = np.array(mats[:shaped]).reshape(shaped, dim, dim)
+    ps = _matrix_stack(ps, "projector")
+    if ps.shape[1] != ps.shape[2]:
+        raise ValueError(f"projector 0 has shape {ps.shape[1:]}, expected {(ps.shape[1],) * 2}")
     herm = _hermiticity_defects(ps)
     with np.errstate(invalid="ignore", over="ignore"):  # a set with an inf or huge entry fails herm
         bad = _first((herm <= IDENTITY_TOL) & (np.abs(ps @ ps - ps).max(axis=(-2, -1)) <= IDENTITY_TOL))
-    if bad < shaped:
+    if bad < len(ps):
         defect = "Hermitian" if not herm[bad] <= IDENTITY_TOL else "idempotent"
         raise ValueError(f"projector {bad} is not {defect} within {IDENTITY_TOL:.1e}")
-    if shaped < len(mats):
-        raise ValueError(f"projector {shaped} has shape {mats[shaped].shape}, expected {(dim, dim)}")
-    for i in range(shaped - 1):
+    for i in range(len(ps) - 1):
         bad = _first(np.abs(ps[i] @ ps[i + 1:]).max(axis=(-2, -1)) <= IDENTITY_TOL)
-        if bad < shaped - 1 - i:
+        if bad < len(ps) - 1 - i:
             raise ValueError(f"projectors {i} and {i + 1 + bad} are not orthogonal within {IDENTITY_TOL:.1e}")
-    _require(np.abs(ps.sum(axis=0) - np.eye(dim)).max(), IDENTITY_TOL,
+    _require(np.abs(ps.sum(axis=0) - np.eye(ps.shape[1])).max(), IDENTITY_TOL,
              f"projectors do not sum to the identity within {IDENTITY_TOL:.1e}")
     return ps
 

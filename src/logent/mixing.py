@@ -18,9 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classical import validate_distribution, weight_entropy
-from .linalg import DEFAULT_TOL, IDENTITY_TOL, _dots, _partial_trace, _require, as_complex_matrix, partial_trace
+from .linalg import DEFAULT_TOL, IDENTITY_TOL, _dots, _matrix_stack, _partial_trace, _require, partial_trace
 from .measurement import project, projectors_from_partition
-from .states import (_pure_densities, _purities, _random_states, _rng, density_from_pure,
+from .states import (_pure_densities, _purities, _random_states, _rng, _validate_densities, density_from_pure,
                      logical_entropy, validate_density)
 
 
@@ -28,23 +28,21 @@ from .states import (_pure_densities, _purities, _random_states, _rng, density_f
 class Ensemble:
     """Weighted collection of density matrices on one space.
 
-    Weights must be nonnegative and sum to 1 within 1e-9; they are then
-    renormalized exactly so downstream identities hold at full precision.
+    Members are read as one stack of equal shapes, then checked as density
+    matrices within DEFAULT_TOL; weights, one per member, must be nonnegative
+    and sum to 1 within 1e-9, and are renormalized exactly so downstream
+    identities hold at full precision.
     """
 
     weights: np.ndarray
     states: np.ndarray  # the checked members, one read-only complex (m, d, d) array
 
     def __post_init__(self):
-        states = [validate_density(as_complex_matrix(s, f"state {k}")) for k, s in enumerate(self.states)]
+        states = np.array(_matrix_stack(self.states, "state"))  # a private copy
+        _validate_densities(states, DEFAULT_TOL)
         w = validate_distribution(self.weights)
         if w.shape[0] != len(states):
             raise ValueError(f"{w.shape[0]} weights for {len(states)} states")
-        dim = states[0].shape[0]
-        for k, s in enumerate(states):
-            if s.shape != (dim, dim):
-                raise ValueError(f"state {k} has shape {s.shape}, expected {(dim, dim)}")
-        states = np.array(states)
         w.setflags(write=False)
         states.setflags(write=False)
         object.__setattr__(self, "weights", w)

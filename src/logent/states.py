@@ -47,14 +47,14 @@ def validate_density(m, tol: float = DEFAULT_TOL) -> np.ndarray:
     invariant broke and by how much. A NaN deviation fails every check.
     """
     m = as_complex_matrix(m)
-    if m.shape[0] != m.shape[1]:
-        raise DensityValidationError(f"density matrix must be square, got {m.shape}", 0.0)
     _validate_densities(m[None], tol)
     return m
 
 
 def _validate_densities(m: np.ndarray, tol: float) -> None:
-    """validate_density's other checks on a (k, n, n) stack; the first failure raises."""
+    """validate_density's checks on a (k, m, n) stack, squareness first; the first failing member raises."""
+    if m.shape[1] != m.shape[2]:
+        raise DensityValidationError(f"density matrix must be square, got {m.shape[1:]}", 0.0)
     herm = _hermiticity_defects(m)
     tr = m.trace(axis1=1, axis2=2)
     dev = np.abs(tr - 1.0)

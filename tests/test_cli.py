@@ -14,6 +14,7 @@ import logent.channels
 import logent.classical
 import logent.cli
 import logent.fuzz
+import logent.measurement
 from logent.cli import build_parser, main
 from logent import serialization
 from logent.serialization import dump_json, matrix_to_json, model_to_json
@@ -242,6 +243,19 @@ class TestProp1:
         assert abs(payload["projected_purity"] - 0.5) < 1e-15
         assert abs(payload["off_block_mass"] - 0.5) < 1e-15
         assert payload["identity_residual"] < 1e-12
+
+    def test_partition_is_checked_as_a_partition_only(self, capsys, monkeypatch, tmp_path):
+        # its projectors are complete and orthogonal by construction, so the O(k^2 n^3) pair check is skipped
+        state = write_json(tmp_path / "rho.json", matrix_to_json(random_density(5, 11)))
+        part = write_json(tmp_path / "part.json", {"blocks": [[0, 3], [1], [2, 4]]})
+        code, want, _ = run_cli(capsys, "prop1", "--state", state, "--partition", part)
+        assert code == 0
+
+        def refuse(ps):
+            raise AssertionError("validate_projectors ran on partition projectors")
+
+        monkeypatch.setattr(logent.measurement, "validate_projectors", refuse)
+        assert run_cli(capsys, "prop1", "--state", state, "--partition", part) == (0, want, "")
 
 
 class TestProp2:
@@ -647,7 +661,7 @@ class TestFormats:
         # csv and human print the NaN and fail the verdict; json refuses to write a NaN
         nan = float("nan")
         fake = {"exchange": ("exchange_entropy", lambda rho, model, tol: ExchangeReport(nan, nan, nan, 1)),
-                "prop1": ("purity_decomposition", lambda rho, ps: (nan, nan)),
+                "prop1": ("_purity_split", lambda rho, ps: (nan, nan)),
                 "prop2": ("mixing_bound_report", lambda ens: MixReport(nan, nan, nan, nan, False))}[command]
         monkeypatch.setattr(logent.cli, *fake)
         part = write_json(tmp_path / "part.json", {"blocks": [[0], [1]]})

@@ -144,6 +144,12 @@ UNEQUAL_ROWS = "expected a 2-D matrix, got rows of unequal length"
      "state 1 is not a matrix: its rows differ in length"),
     (lambda: validate_projectors([np.eye(2), RAGGED]), ValueError,
      "projector 1 is not a matrix: its rows differ in length"),
+    (lambda: Ensemble([0.5, 0.5], [np.eye(2) / 2, np.eye(3) / 3]), ValueError,
+     "state 1 has shape (3, 3), expected (2, 2)"),
+    (lambda: validate_projectors([np.eye(2), np.eye(3)]), ValueError,
+     "projector 1 has shape (3, 3), expected (2, 2)"),
+    (lambda: Ensemble([0.5, 0.5], [np.ones((2, 3)) / 2] * 2), DensityValidationError,
+     "density matrix must be square, got (2, 3)"),
 ], ids=["couple", "exchange", "apply", "model", "block-decompose",
         "purity-decomposition", "partial-trace", "schmidt", "partial-trace-negative-dims",
         "partial-trace-zero-dim", "schmidt-negative-dims", "block-decompose-negative-dims",
@@ -151,7 +157,8 @@ UNEQUAL_ROWS = "expected a 2-D matrix, got rows of unequal length"
         "apply-ragged-kraus-member", "completeness-ragged-kraus-member", "completeness-zero-width-kraus",
         "apply-zero-height-kraus", "not-2d", "hermiticity-non-square", "density-non-square",
         "density-ragged", "purity-ragged", "partial-trace-ragged", "apply-ragged-state", "model-ragged",
-        "ensemble-ragged-member", "projectors-ragged-member"])
+        "ensemble-ragged-member", "projectors-ragged-member", "ensemble-misshaped-member",
+        "projectors-misshaped-member", "ensemble-non-square-members"])
 def test_shape_checks_name_the_shape_they_reject(call, error, message):
     # each check names the shape it rejects; a check against a space's dimension names the space too
     with pytest.raises(error, match=f"^{re.escape(message)}$"):

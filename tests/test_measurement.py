@@ -67,12 +67,13 @@ def test_validate_projectors_rejects_nan():
 
 def test_empty_projectors_are_named_at_every_entry_point():
     empty = np.zeros((0, 0))
-    message = re.escape("projector 0 has shape (0, 0): its dimension is empty")
+    message = re.escape("expected a non-empty stack of 2-D matrices, got shape (1, 0, 0)")
     for call in (lambda: validate_projectors([empty]), lambda: project(empty, [empty]),
-                 lambda: purity_decomposition(empty, [empty]),
-                 lambda: validate_projectors([empty, np.eye(2)])):
-        with pytest.raises(ValueError, match=message):
+                 lambda: purity_decomposition(empty, [empty])):
+        with pytest.raises(ValueError, match=f"^{message}$"):
             call()
+    with pytest.raises(ValueError, match=f"^{re.escape('projector 1 has shape (2, 2), expected (0, 0)')}$"):
+        validate_projectors([empty, np.eye(2)])
 
 
 def test_validate_projectors_catches_defects():
@@ -164,12 +165,14 @@ def test_validate_projectors_returns_stack_and_reports_in_order():
     stack = validate_projectors(ps)
     assert stack.shape == (2, 3, 3)
     npt.assert_array_equal(stack, np.array(ps))
-    # projector 0 fails idempotence before projector 1 fails Hermiticity or shape
+    # a misshaped projector is reported first; then projector 0 fails idempotence before projector 1 Hermiticity
     half = np.eye(2) * 0.5
-    with pytest.raises(ValueError, match="projector 0 is not idempotent"):
+    with pytest.raises(ValueError, match=r"^projector 2 has shape \(3, 3\), expected \(2, 2\)$"):
         validate_projectors([half, np.array([[1, 1], [0, 0]]), np.eye(3)])
+    with pytest.raises(ValueError, match="projector 0 is not idempotent"):
+        validate_projectors([half, np.array([[1, 1], [0, 0]]), np.eye(2)])
     with pytest.raises(ValueError, match="projector 1 is not Hermitian"):
-        validate_projectors([np.diag([1.0, 0.0]), np.array([[0, 1], [0, 1]]), np.eye(3)])
+        validate_projectors([np.diag([1.0, 0.0]), np.array([[0, 1], [0, 1]]), np.eye(2)])
     with pytest.raises(ValueError, match=r"projector 1 has shape \(3, 3\)"):
         validate_projectors([np.diag([1.0, 0.0]), np.eye(3), half])
     with pytest.raises(ValueError, match=r"projector 0 has shape \(2, 3\)"):
@@ -240,7 +243,7 @@ def test_a_state_that_is_not_square_is_a_dimension_mismatch(fn):
 
 
 def test_an_empty_projector_set_is_named():
-    with pytest.raises(ValueError, match="^empty projector set$"):
+    with pytest.raises(ValueError, match=r"^expected a non-empty stack of 2-D matrices, got shape \(0,\)$"):
         validate_projectors([])
 
 

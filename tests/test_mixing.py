@@ -57,16 +57,17 @@ class TestEnsemble:
         assert (len(ens), ens.dim) == (3, 2)
 
     def test_two_faults_report_the_first_check(self):
-        # members are checked first, then the weights, then the count, then the shapes
+        # the members' shapes are checked first, then the members, then the weights, then the count
         rho, qutrit, skew = density_from_pure([1, 0]), np.eye(3) / 3, [[0.5, 1.0], [0.0, 0.5]]
+        misshaped = f"^{re.escape('state 2 has shape (3, 3), expected (2, 2)')}$"
+        with pytest.raises(ValueError, match=misshaped):  # a shape mismatch beats an earlier bad member
+            Ensemble([0.5, 0.5], [rho, skew, qutrit])
         with pytest.raises(NonHermitianError):  # a bad member beats bad weights
             Ensemble([0.6, 0.6], [rho, skew])
         with pytest.raises(ValueError, match="^probabilities sum to 1.2,"):  # bad weights beat a count mismatch
             Ensemble([0.6, 0.6], [rho, rho, rho])
-        with pytest.raises(ValueError, match="^3 weights for 2 states$"):  # a count mismatch beats a shape one
-            Ensemble([1 / 3, 1 / 3, 1 / 3], [rho, qutrit])
-        with pytest.raises(ValueError, match=f"^{re.escape('state 1 has shape (3, 3), expected (2, 2)')}$"):
-            Ensemble([0.5, 0.5], [rho, qutrit])
+        with pytest.raises(ValueError, match=misshaped):  # a shape mismatch beats a count mismatch
+            Ensemble([0.5, 0.5], [rho, rho, qutrit])
 
 
 class TestMix:
