@@ -14,9 +14,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .channels import _channel
 from .linalg import DEFAULT_TOL, IDENTITY_TOL, ROUNDING_TOL, _require
-from .measurement import _partition_projectors, validate_partition
+from .measurement import _labels, _measured, validate_partition
 from .states import _purities, _rng
 
 
@@ -76,12 +75,8 @@ def dit_count(probs, blocks) -> float:
 
 def _dit_count(p: np.ndarray, blocks: list[list[int]]) -> float:
     """dit_count of a checked distribution and partition."""
-    label = {}
-    for k, blk in enumerate(blocks):
-        for i in blk:
-            label[i] = k
-    total, q = 0.0, p.tolist()  # the same Python floats as float(p[i])
-    n = p.shape[0]
+    n, total, q = p.shape[0], 0.0, p.tolist()  # the same Python floats as float(p[i])
+    label = _labels([blocks], n)[0].tolist()
     for i in range(n):
         for j in range(n):
             if label[i] != label[j]:
@@ -107,8 +102,7 @@ def _bridges(probs: np.ndarray, partitions) -> tuple[np.ndarray, np.ndarray]:
     checked = [(validate_distribution(p), validate_partition(b, n)) for p, b in zip(probs, partitions)]
     h_classical = np.array([_partition_entropy(p, blocks) for p, blocks in checked])
     amps = np.sqrt(probs).astype(np.complex128)
-    ps = _partition_projectors([blocks for _, blocks in checked], n)
-    measured = _channel(amps[:, :, None] * amps.conj()[:, None, :], ps)
+    measured = _measured(amps[:, :, None] * amps.conj()[:, None, :], _labels([blocks for _, blocks in checked], n))
     return h_classical, 1.0 - _purities(measured)
 
 

@@ -5,8 +5,8 @@ prop1, prop2, bridge. Inputs arrive as JSON files in the wire formats
 of the serialization module; outputs are JSON (default), csv, or human.
 Every command is deterministic given its inputs and --seed.
 
-Exit codes: 0 success, 1 bad input data or a failed randomized
-property, 2 an internal contradiction (a guaranteed identity or bound
+Exit codes: 0 success, 1 bad input data, a failed randomized property
+or no memory left, 2 an internal contradiction (a guaranteed identity or bound
 violated, or two routes to one value that disagree: a bug in the
 library itself), 64 usage error.
 """
@@ -29,7 +29,7 @@ from .channels import (_theorem_holds, apply_channel, completeness_defect, excha
 from .classical import bridge_entropies, validate_distribution
 from .fuzz import SUITES, run_suite
 from .linalg import DEFAULT_TOL, IDENTITY_TOL
-from .measurement import _partition_projectors, _purity_split, validate_partition
+from .measurement import _labels, _partition_split, validate_partition
 from .mixing import mixing_bound_report
 from .serialization import (distribution_from_json, dump_json, load_json,
                             matrix_from_json, matrix_to_json, model_from_json,
@@ -240,8 +240,8 @@ def _cmd_exchange(parser, args) -> tuple[int, dict]:
 def _cmd_prop1(parser, args) -> tuple[int, dict]:
     rho = _load_state(args)
     blocks, n = partition_from_json(load_json(args.partition)), rho.shape[0]
-    ps = _partition_projectors([validate_partition(blocks, n)], n)[0]  # checked as a partition, as fuzz prop1 does
-    projected_purity, mass = map(float, _purity_split(rho, ps))
+    labels = _labels([validate_partition(blocks, n)], n)[0]  # checked as a partition, as fuzz prop1 does
+    projected_purity, mass = map(float, _partition_split(rho, labels))
     pur = purity(rho)
     residual = abs(pur - (projected_purity + mass))
     payload = {"purity": pur, "projected_purity": projected_purity,
@@ -283,7 +283,7 @@ def main(argv=None) -> int:
         _emit(payload if isinstance(payload, str) else _render(payload, args), args)
     except SystemExit as exc:  # a usage error, also parser.error inside a command
         return int(exc.code or 0)
-    except (ValueError, OSError, json.JSONDecodeError, AssertionError) as exc:
+    except (ValueError, OSError, json.JSONDecodeError, AssertionError, MemoryError) as exc:
         print(f"logent: error: {exc}", file=sys.stderr)  # AssertionError: two routes to one value disagree
         return EXIT_CONTRADICTION if isinstance(exc, AssertionError) else EXIT_FAILURE
     return code

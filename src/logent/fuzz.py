@@ -14,10 +14,10 @@ private stacked kernels that the public functions run on a single
 instance; the results are folded back in trial order. So the summary
 does not depend on the grouping or the chunk size. A group's ensembles
 form one regular stack, each padded to the group's largest member count
-with zero-weight zero members, which leave every sum as it is; its
-partition projectors are checked as partitions, the data they are built
-from, rather than pair by pair. A theorem trial reads its unitary's and
-its state's Gaussians, and a prop2 trial all its members', in one read of
+with zero-weight zero members, which leave every sum as it is; a
+partition is checked as a partition and measured through its labels,
+with no projector built. A theorem trial reads its unitary's and its
+state's Gaussians, and a prop2 trial all its members', in one read of
 the stream: the numbers separate draws would give. A theorem trial calls
 the public CouplingModel and verify_entropy_bound it checks, and its slack
 must equal sum_{i != j} |W_ij|^2, W exchange_entropy's environment state.
@@ -40,11 +40,10 @@ import math
 
 import numpy as np
 
-from .channels import CouplingModel, _channel, _env_state, _kraus_stack, verify_entropy_bound
+from .channels import CouplingModel, _env_state, _kraus_stack, verify_entropy_bound
 from .classical import _bridges, random_distribution, random_partition, validate_distribution
 from .linalg import DEFAULT_TOL, IDENTITY_TOL
-from .measurement import (_entropy_gains, _nondecreasing, _partition_projectors, _purity_split,
-                          validate_partition)
+from .measurement import _entropy_gains, _labels, _measured, _nondecreasing, _partition_split, validate_partition
 from .mixing import _draw_ensemble, _mixing_bounds, _schmidt_pairs
 from .serialization import matrix_to_json, model_to_json
 from .states import (_gaussian, _haar, _pure_densities, _purities, _random_states, _unit,
@@ -167,15 +166,15 @@ def fuzz_measurement(trials: int, dim_max: int, seed: int) -> dict:
         dim = _dim(rng, dim_max)
         state = _gaussian(dim if t % 2 else (dim, dim), rng)
         blocks = random_partition(dim, rng)
-        # keyed on block count: zero-padding projectors to merge groups changes _block_weights' bits
+        # keyed on block count: padding partitions with empty blocks to merge groups changes W's bits
         return (dim, len(blocks), t % 2 == 1), 16 * len(blocks) * dim * dim, (state, blocks)
 
     def evaluate(key, draws):
         raw, partitions = zip(*draws)
         rho = _random_states(np.array(raw), key[2])
-        ps = _partition_projectors([validate_partition(b, key[0]) for b in partitions], key[0])
-        projected, mass = _purity_split(rho, ps)
-        purity, purity_hat = _purities(rho), _purities(_channel(rho, ps))
+        labels = _labels([validate_partition(b, key[0]) for b in partitions], key[0])
+        projected, mass = _partition_split(rho, labels)
+        purity, purity_hat = _purities(rho), _purities(_measured(rho, labels))
         gain = _entropy_gains(purity, purity_hat)
         values = [np.abs(purity - (projected + mass)), np.abs(gain - mass)]
         checks = [
@@ -243,8 +242,7 @@ def fuzz_bridge(trials: int, n_max: int, seed: int) -> dict:
     amplitude encoding, within 1e-10."""
     def draw(t, rng):
         n = _dim(rng, n_max)
-        # projectors are padded to the group's largest block count, at most n
-        return n, 16 * n ** 3, (random_distribution(n, rng), random_partition(n, rng))
+        return n, 16 * n * n, (random_distribution(n, rng), random_partition(n, rng))
 
     def evaluate(key, draws):
         probs, partitions = zip(*draws)

@@ -10,15 +10,15 @@ into the weights of the blocks P_i rho P_j,
 and the first sum is tr(rho_hat^2), so measurement raises logical
 entropy by exactly the off-block weight it erases, and never lowers it.
 Both sums come from the block-weight matrix the channel layer uses for
-the off-block bound. When the projectors are diagonal in the
-computational basis (a partition of the basis indices into blocks),
-projecting simply zeroes every entry of rho that straddles two blocks.
+the off-block bound. A partition of the basis indices into blocks is
+measured through its labels, the block index of each basis index: the
+measurement zeroes every entry of rho that straddles two blocks.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .channels import _block_weights, apply_channel
+from .channels import _block_weights, _weights, apply_channel
 from .linalg import (DEFAULT_TOL, IDENTITY_TOL, ROUNDING_TOL, _first, _hermiticity_defects, _matrix_stack,
                      _on_space, _require, as_complex_matrix)
 from .states import _purities
@@ -48,19 +48,24 @@ def validate_partition(blocks, n: int) -> list[list[int]]:
 
 
 def projectors_from_partition(blocks, dim: int) -> list[np.ndarray]:
-    """Diagonal projectors onto the coordinate subspaces of a partition."""
-    return list(_partition_projectors([validate_partition(blocks, dim)], dim)[0])
+    """Diagonal projectors onto the coordinate subspaces of a partition, their entries exactly 0 and 1."""
+    labels = _labels([blocks := validate_partition(blocks, dim)], dim)[0]
+    return [np.diag(labels == b).astype(np.complex128) for b in range(len(blocks))]
 
 
-def _partition_projectors(parts, dim: int) -> np.ndarray:
-    """projectors_from_partition for partitions its callers checked with validate_partition, zero-padded
-    to one (s, k, dim, dim) stack. 0/1 diagonals are complete and orthogonal exactly when their
-    partition is valid, so checking the partitions checks the sets, which skip validate_projectors."""
-    ps = np.zeros((len(parts), max(map(len, parts)), dim, dim), dtype=np.complex128)
-    s, b, i = np.array([(s, b, i) for s, part in enumerate(parts) for b, blk in enumerate(part)
-                        for i in blk], dtype=int).reshape(-1, 3).T
-    ps[s, b, i, i] = 1.0
-    return ps
+def _labels(parts, dim: int) -> np.ndarray:
+    """The block index of each basis index: one (s, dim) row per partition its caller checked with
+    validate_partition. A checked partition is measured through its labels; no projector is built."""
+    labels = np.empty((len(parts), dim), dtype=int)
+    for row, part in zip(labels, parts):
+        for b, blk in enumerate(part):
+            row[blk] = b
+    return labels
+
+
+def _measured(rho: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """sum_b P_b rho P_b over stacks, rho (..., n, n) and labels (..., n): rho where row and column share a block."""
+    return rho * (labels[..., :, None] == labels[..., None, :])
 
 
 def validate_projectors(ps) -> np.ndarray:
@@ -70,8 +75,8 @@ def validate_projectors(ps) -> np.ndarray:
     Returns the set as one (k, n, n) stack. The first failing check is
     reported: structure first (the set read as one stack of equally shaped
     matrices, then square), then projector by projector in order, then each
-    projector against its successors, then completeness. Partition
-    projectors are checked as partitions instead.
+    projector against its successors, then completeness. A basis partition
+    is checked as a partition and measured through its labels instead.
     """
     ps = _matrix_stack(ps, "projector")
     if ps.shape[1] != ps.shape[2]:
@@ -114,15 +119,20 @@ def purity_decomposition(rho, ps) -> tuple[float, float]:
     ps = validate_projectors(ps)
     _on_space(rho, ps.shape[1], "projector space")
     with np.errstate(invalid="ignore", over="ignore"):  # an inf state leaves a NaN residue, which fails
-        projected, mass = _purity_split(rho, ps)
+        projected, mass = _purity_split(_block_weights(rho, ps))
     return float(projected), float(mass)
 
 
-def _purity_split(rho: np.ndarray, ps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """purity_decomposition over stacks of states and checked projector sets."""
-    w = _block_weights(rho, ps)
+def _partition_split(rho: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """_purity_split of states (..., n, n) under labels (..., n); X_b = P_b rho is rho with rows outside b zeroed."""
+    blocks = np.arange(labels.max() + 1)[:, None]
+    return _purity_split(_weights(rho[..., None, :, :] * (labels[..., None, :] == blocks)[..., None]))
+
+
+def _purity_split(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """purity_decomposition's (projected, mass) from a stack of block-weight matrices W."""
     # one C-ordered row per state, so each sum runs as it does for a single state
-    pair = w[..., ~np.eye(ps.shape[-3], dtype=bool)].copy().sum(axis=-1)
+    pair = w[..., ~np.eye(w.shape[-1], dtype=bool)].copy().sum(axis=-1)
     bad = _first(np.abs(pair.imag) <= ROUNDING_TOL)  # a NaN residue fails
     if bad < pair.size:
         raise ValueError(f"off-block pair sum has imaginary residue {pair.reshape(-1)[bad].imag:.3e}; "

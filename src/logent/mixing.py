@@ -19,7 +19,7 @@ import numpy as np
 
 from .classical import validate_distribution, weight_entropy
 from .linalg import DEFAULT_TOL, IDENTITY_TOL, _dots, _matrix_stack, _partial_trace, _require, partial_trace
-from .measurement import project, projectors_from_partition
+from .measurement import _measured
 from .states import (_pure_densities, _purities, _random_states, _rng, _validate_densities, density_from_pure,
                      logical_entropy, validate_density)
 
@@ -170,8 +170,7 @@ def purification_chain_check(ensemble: Ensemble) -> bool:
     h_mix = logical_entropy(mix(ensemble))
     rho_b = partial_trace(rho_sb, d, n, keep="b")
     h_b = logical_entropy(rho_b)
-    measured = project(rho_b, projectors_from_partition([[i] for i in range(n)], n))
-    h_diag = logical_entropy(measured)
+    h_diag = logical_entropy(_measured(rho_b, np.arange(n)))  # measured in the record basis: singleton blocks
     h_w = weight_entropy(ensemble.weights)
     return abs(h_mix - h_b) <= DEFAULT_TOL and h_b <= h_diag + DEFAULT_TOL and abs(h_diag - h_w) <= DEFAULT_TOL
 

@@ -4,7 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import logent.classical
-from logent.classical import (bridge_check, dit_count, logical_entropy_dist,
+from logent.classical import (bridge_check, bridge_entropies, dit_count, logical_entropy_dist,
                               partition_entropy, random_distribution,
                               random_partition, validate_distribution)
 from logent.measurement import validate_partition
@@ -115,6 +115,13 @@ def test_bridge_frozen_case():
 def test_bridge_discrete_partition():
     p = random_distribution(6, 3)
     assert bridge_check(p, [[i] for i in range(6)])
+
+
+def test_bridge_memory_stays_the_size_of_the_state(peak_bytes):
+    # a partition is measured through its labels: 128 singleton blocks take a few 128 x 128 arrays,
+    # where a stack of their 128 projectors alone takes 32 MiB
+    p = random_distribution(128, 0)
+    assert peak_bytes(lambda: bridge_entropies(p, [[i] for i in range(128)])) < 8 << 20
 
 
 @given(st.integers(0, 300))

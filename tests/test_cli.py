@@ -245,7 +245,7 @@ class TestProp1:
         assert payload["identity_residual"] < 1e-12
 
     def test_partition_is_checked_as_a_partition_only(self, capsys, monkeypatch, tmp_path):
-        # its projectors are complete and orthogonal by construction, so the O(k^2 n^3) pair check is skipped
+        # a partition is measured through its labels, so no projector reaches the O(k^2 n^3) pair check
         state = write_json(tmp_path / "rho.json", matrix_to_json(random_density(5, 11)))
         part = write_json(tmp_path / "part.json", {"blocks": [[0, 3], [1], [2, 4]]})
         code, want, _ = run_cli(capsys, "prop1", "--state", state, "--partition", part)
@@ -256,6 +256,19 @@ class TestProp1:
 
         monkeypatch.setattr(logent.measurement, "validate_projectors", refuse)
         assert run_cli(capsys, "prop1", "--state", state, "--partition", part) == (0, want, "")
+
+    def test_out_of_memory_exits_1_with_one_error_line(self, capsys, monkeypatch, plus_state, tmp_path):
+        # numpy's _ArrayMemoryError is a MemoryError: prop1 at n = 512 asks for 2 GiB for its X stack
+        message = "Unable to allocate 2.00 GiB for an array with shape (512, 512, 512) and data type complex128"
+
+        def exhausted(rho, labels):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(logent.cli, "_partition_split", exhausted)
+        part = write_json(tmp_path / "part.json", {"blocks": [[0], [1]]})
+        code, out, err = run_cli(capsys, "prop1", "--state", plus_state, "--partition", part)
+        assert (code, out) == (1, "")
+        assert err.splitlines() == [f"logent: error: {message}"]
 
 
 class TestProp2:
@@ -661,7 +674,7 @@ class TestFormats:
         # csv and human print the NaN and fail the verdict; json refuses to write a NaN
         nan = float("nan")
         fake = {"exchange": ("exchange_entropy", lambda rho, model, tol: ExchangeReport(nan, nan, nan, 1)),
-                "prop1": ("_purity_split", lambda rho, ps: (nan, nan)),
+                "prop1": ("_partition_split", lambda rho, labels: (nan, nan)),
                 "prop2": ("mixing_bound_report", lambda ens: MixReport(nan, nan, nan, nan, False))}[command]
         monkeypatch.setattr(logent.cli, *fake)
         part = write_json(tmp_path / "part.json", {"blocks": [[0], [1]]})

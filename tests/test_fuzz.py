@@ -193,7 +193,7 @@ def test_the_gram_identity_reads_the_environment_state_exchange_reads(monkeypatc
         assert "!= off-diagonal weight" in check and check.endswith(" of W")
 
 
-@pytest.mark.parametrize("suite, kernel", [("prop1", "_purity_split"), ("prop2", "_mixing_bounds")])
+@pytest.mark.parametrize("suite, kernel", [("prop1", "_partition_split"), ("prop2", "_mixing_bounds")])
 def test_an_odd_trial_replays_as_the_last_trial_of_a_run_one_trial_longer(suite, kernel, monkeypatch):
     # trial t of seed s replays as the last trial of --seed s --trials t+1; prop1 and prop2 take
     # a trial's kind from t % 2, so --seed s+t --trials 1 draws trial t's seed as the other kind

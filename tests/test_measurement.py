@@ -4,10 +4,10 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from logent.channels import apply_channel
+from logent.channels import _block_weights, _channel, apply_channel
 from logent.classical import partition_entropy, random_partition
-from logent.measurement import (_partition_projectors, entropy_gain, entropy_nondecreasing, project,
-                                projectors_from_partition, purity_decomposition,
+from logent.measurement import (_labels, _measured, _partition_split, _purity_split, entropy_gain,
+                                entropy_nondecreasing, project, projectors_from_partition, purity_decomposition,
                                 validate_partition, validate_projectors)
 from logent.states import (density_from_pure, logical_entropy, purity,
                            random_density, random_pure_state, random_unitary)
@@ -42,16 +42,26 @@ def test_validate_partition_rejects_indices_that_are_not_integers():
     assert out == [[0, 1], [2]] and all(type(i) is int for blk in out for i in blk)
 
 
-def test_partition_projectors_are_complete_and_orthogonal_by_construction():
-    # the campaigns check the partitions, not the projector sets built from them
+def test_partition_labels_measure_bit_for_bit_as_the_projectors():
+    # a checked partition is measured through its labels; the projector route gives the same bits,
+    # also for a group zero-padded to its largest block count
     rng = np.random.default_rng(0)
-    for dim in range(1, 49):
+    for dim in range(1, 25):
         partitions = [random_partition(dim, rng) for _ in range(3)] + [[list(range(dim))],
                                                                       [[i] for i in range(dim)]]
-        for ps in _partition_projectors(partitions, dim):  # each zero-padded to the stack's block count
-            assert np.array_equal(ps @ ps, ps) and np.array_equal(ps, ps.conj().swapaxes(-2, -1))
-            assert not any((ps[i] @ ps[i + 1:]).any() for i in range(len(ps)))
-            assert np.array_equal(ps.sum(axis=0), np.eye(dim))
+        k = max(map(len, partitions))
+        ps = np.zeros((len(partitions), k, dim, dim), dtype=complex)
+        for padded, blocks in zip(ps, partitions):
+            sets = np.array(projectors_from_partition(blocks, dim))
+            assert np.array_equal(sets @ sets, sets) and np.array_equal(sets, sets.conj().swapaxes(-2, -1))
+            assert not any((sets[i] @ sets[i + 1:]).any() for i in range(len(sets)))
+            assert np.array_equal(sets.sum(axis=0), np.eye(dim))
+            padded[:len(sets)] = sets
+        labels = _labels([validate_partition(b, dim) for b in partitions], dim)
+        rho = np.array([random_density(dim, int(s)) for s in rng.integers(1 << 30, size=len(partitions))])
+        assert np.array_equal(_measured(rho, labels), _channel(rho, ps))
+        for got, want in zip(_partition_split(rho, labels), _purity_split(_block_weights(rho, ps))):
+            assert np.array_equal(got, want)
 
 
 def test_projectors_from_partition_form_valid_set():
