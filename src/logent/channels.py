@@ -156,15 +156,11 @@ def _block_weights(rho: np.ndarray, ops: np.ndarray) -> np.ndarray:
 
     For Hermitian rho, W_ij = ||E_i rho E_j†||_F^2: the Frobenius weight
     of block (i, j) of the coupled state for Kraus operators, and of
-    P_i rho P_j for projectors. Works over stacks: rho (..., n, n) and
-    ops (..., k, n, n). _weights forms W from X_i = A_i rho; measurement
-    hands it a basis partition's X_b = P_b rho directly.
+    P_i rho P_j for projectors. With X_i = A_i rho, W_ij = tr(X_i X_j) is
+    one product of the flattened stack with its flattened transpose.
+    Works over stacks: rho (..., n, n) and ops (..., k, n, n).
     """
-    return _weights(ops.conj().swapaxes(-1, -2) @ ops @ rho[..., None, :, :])
-
-
-def _weights(x: np.ndarray) -> np.ndarray:
-    """W_ij = tr(X_i X_j) of a (..., k, n, n) stack: the flattened stack times its flattened transpose."""
+    x = ops.conj().swapaxes(-1, -2) @ ops @ rho[..., None, :, :]
     rows = x.shape[:-2]
     return x.reshape(*rows, -1) @ x.swapaxes(-1, -2).reshape(*rows, -1).swapaxes(-1, -2)
 

@@ -176,8 +176,8 @@ def _cmd_entropy(parser, args) -> tuple[int, dict]:
 
 
 def _cmd_bound(parser, args) -> tuple[int, dict]:
+    model = _load_model(parser, args)  # a usage error is reported before a file error
     rho = _load_state(args)
-    model = _load_model(parser, args)
     report = verify_entropy_bound(rho, model, tol=args.tol)
     payload = {"entropy": report.entropy, "bound": report.bound, "slack": report.slack,
                "projected_entropy": report.projected_entropy,
@@ -186,8 +186,8 @@ def _cmd_bound(parser, args) -> tuple[int, dict]:
 
 
 def _cmd_apply(parser, args) -> tuple[int, dict]:
-    rho = _load_state(args)
     model = _load_model(parser, args)
+    rho = _load_state(args)
     out = apply_channel(rho, extract_kraus(model))
     return EXIT_OK, matrix_to_json(out)
 
@@ -198,13 +198,13 @@ def _cmd_kraus(parser, args) -> tuple[int, dict]:
 
 
 def _cmd_sweep(parser, args) -> tuple[int, str]:
-    rho = _load_state(args)
-    if rho.shape != (2, 2):
-        raise ValueError(f"sweep needs a single-qubit state, got shape {rho.shape}")
     if args.steps < 1:
         parser.error("--steps must be >= 1")
     if not isfinite(span := args.theta_end - args.theta_start):  # NaN, an infinity, or past float64
         parser.error(f"--theta-start and --theta-end must bound a finite range, got a span of {span!r}")
+    rho = _load_state(args)
+    if rho.shape != (2, 2):
+        raise ValueError(f"sweep needs a single-qubit state, got shape {rho.shape}")
     a, b, c = float(rho[0, 0].real), complex(rho[0, 1]), float(rho[1, 1].real)
     buf = io.StringIO()
     buf.write("theta,entropy,bound,closed_form_entropy,closed_form_bound,slack\n")
@@ -229,8 +229,8 @@ def _cmd_fuzz(parser, args) -> tuple[int, dict]:
 
 
 def _cmd_exchange(parser, args) -> tuple[int, dict]:
-    rho = _load_state(args)
     model = _load_model(parser, args)
+    rho = _load_state(args)
     report = exchange_entropy(rho, model, tol=args.tol)
     payload = {"exchange_entropy": report.exchange_entropy, "bound": report.bound,
                "slack": report.slack}

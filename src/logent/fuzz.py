@@ -165,13 +165,11 @@ def fuzz_measurement(trials: int, dim_max: int, seed: int) -> dict:
     def draw(t, rng):
         dim = _dim(rng, dim_max)
         state = _gaussian(dim if t % 2 else (dim, dim), rng)
-        blocks = random_partition(dim, rng)
-        # keyed on block count: padding partitions with empty blocks to merge groups changes W's bits
-        return (dim, len(blocks), t % 2 == 1), 16 * len(blocks) * dim * dim, (state, blocks)
+        return (dim, t % 2 == 1), 16 * dim * dim, (state, random_partition(dim, rng))
 
     def evaluate(key, draws):
         raw, partitions = zip(*draws)
-        rho = _random_states(np.array(raw), key[2])
+        rho = _random_states(np.array(raw), key[1])
         labels = _labels([validate_partition(b, key[0]) for b in partitions], key[0])
         projected, mass = _partition_split(rho, labels)
         purity, purity_hat = _purities(rho), _purities(_measured(rho, labels))
@@ -183,7 +181,7 @@ def fuzz_measurement(trials: int, dim_max: int, seed: int) -> dict:
              lambda m: f"entropy gain {float(gain[m])!r} != off-block weight {float(mass[m])!r}"),
             (_nondecreasing(purity, purity_hat), lambda m: "entropy decreased under measurement"),
         ]
-        if key[2]:  # only a pure state's projected entropy is the erased off-block weight
+        if key[1]:  # only a pure state's projected entropy is the erased off-block weight
             values.append(np.abs((1.0 - projected) - mass))
             checks.append((values[2] <= IDENTITY_TOL,
                            lambda m: f"pure-state projected entropy residual {float(values[2][m])!r}"))

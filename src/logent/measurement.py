@@ -9,16 +9,16 @@ into the weights of the blocks P_i rho P_j,
 
 and the first sum is tr(rho_hat^2), so measurement raises logical
 entropy by exactly the off-block weight it erases, and never lowers it.
-Both sums come from the block-weight matrix the channel layer uses for
-the off-block bound. A partition of the basis indices into blocks is
-measured through its labels, the block index of each basis index: the
+Both sums add up entries of rho∘rhoᵀ, whose entry (a, b) is rho_ab rho_ba
+and whose total is tr(rho^2). A partition of the basis indices into blocks
+is measured through its labels, the block index of each basis index: the
 measurement zeroes every entry of rho that straddles two blocks.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .channels import _block_weights, _weights, apply_channel
+from .channels import apply_channel
 from .linalg import (DEFAULT_TOL, IDENTITY_TOL, ROUNDING_TOL, _first, _hermiticity_defects, _matrix_stack,
                      _on_space, _require, as_complex_matrix)
 from .states import _purities
@@ -119,25 +119,26 @@ def purity_decomposition(rho, ps) -> tuple[float, float]:
     ps = validate_projectors(ps)
     _on_space(rho, ps.shape[1], "projector space")
     with np.errstate(invalid="ignore", over="ignore"):  # an inf state leaves a NaN residue, which fails
-        projected, mass = _purity_split(_block_weights(rho, ps))
+        y = ps @ rho  # sum_i y_i∘y_iᵀ sums to sum_i W_ii; tr(rho^2) less that is sum_{i != j} W_ij
+        projected, mass = _purity_split(rho * rho.T, (y * y.swapaxes(-1, -2)).sum(axis=0))
     return float(projected), float(mass)
 
 
 def _partition_split(rho: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """_purity_split of states (..., n, n) under labels (..., n); X_b = P_b rho is rho with rows outside b zeroed."""
-    blocks = np.arange(labels.max() + 1)[:, None]
-    return _purity_split(_weights(rho[..., None, :, :] * (labels[..., None, :] == blocks)[..., None]))
+    """_purity_split of states (..., n, n) under labels (..., n), in n x n memory per state."""
+    m = rho * rho.swapaxes(-1, -2)
+    return _purity_split(m, m * (labels[..., :, None] == labels[..., None, :]))
 
 
-def _purity_split(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """purity_decomposition's (projected, mass) from a stack of block-weight matrices W."""
+def _purity_split(m: np.ndarray, kept: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """purity_decomposition's (projected, mass) from m = rho∘rhoᵀ and its within-block part kept."""
     # one C-ordered row per state, so each sum runs as it does for a single state
-    pair = w[..., ~np.eye(w.shape[-1], dtype=bool)].copy().sum(axis=-1)
+    projected, pair = (x.reshape(*m.shape[:-2], -1).sum(axis=-1) for x in (kept, m - kept))
     bad = _first(np.abs(pair.imag) <= ROUNDING_TOL)  # a NaN residue fails
     if bad < pair.size:
         raise ValueError(f"off-block pair sum has imaginary residue {pair.reshape(-1)[bad].imag:.3e}; "
                          "input not Hermitian")
-    return w.trace(axis1=-2, axis2=-1).real, pair.real
+    return projected.real, pair.real
 
 
 def _measured_purities(rho, ps) -> tuple[np.ndarray, np.ndarray]:

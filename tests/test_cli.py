@@ -258,7 +258,7 @@ class TestProp1:
         assert run_cli(capsys, "prop1", "--state", state, "--partition", part) == (0, want, "")
 
     def test_out_of_memory_exits_1_with_one_error_line(self, capsys, monkeypatch, plus_state, tmp_path):
-        # numpy's _ArrayMemoryError is a MemoryError: prop1 at n = 512 asks for 2 GiB for its X stack
+        # numpy's _ArrayMemoryError is a MemoryError: a (512, 512, 512) complex stack asks for 2 GiB
         message = "Unable to allocate 2.00 GiB for an array with shape (512, 512, 512) and data type complex128"
 
         def exhausted(rho, labels):
@@ -451,6 +451,9 @@ class TestFuzz:
             assert theorem["worst_slack"] is None and payload["worst_slack"] is None
 
 
+FINITE_RANGE = "logent sweep: error: --theta-start and --theta-end must bound a finite range, got a span of"
+
+
 class TestUsageErrors:
     def test_no_subcommand(self, capsys):
         code, _, err = run_cli(capsys)
@@ -500,6 +503,22 @@ class TestUsageErrors:
         else:
             assert err.startswith("logent: error: not positive semidefinite")
 
+    @pytest.mark.parametrize("argv, message", [
+        (("bound", "--state", "{missing}", "--model", "m", "--channel", "amplitude-damping"),
+         "logent bound: error: give either --model or --channel, not both"),
+        (("apply", "--state", "{missing}", "--channel", "amplitude-damping"),
+         "logent apply: error: --channel requires --theta"),
+        (("exchange", "--state", "{missing}"),
+         "logent exchange: error: a coupling is required: --model FILE or --channel NAME --theta X"),
+        (("sweep", "--state", "{missing}", "--steps", "0"), "logent sweep: error: --steps must be >= 1"),
+        (("sweep", "--state", "{missing}", "--theta-end=inf"), f"{FINITE_RANGE} inf"),
+    ], ids=["bound", "apply", "exchange", "sweep-steps", "sweep-range"])
+    def test_a_usage_error_is_reported_before_a_missing_state_file(self, capsys, tmp_path, argv, message):
+        missing = str(tmp_path / "missing.json")
+        code, out, err = run_cli(capsys, *(a.format(missing=missing) for a in argv))
+        assert (code, out) == (64, "")
+        assert err.endswith(f"{message}\n") and "No such file" not in err
+
     def test_model_and_channel_conflict(self, capsys, tmp_path, plus_state):
         model = CouplingModel(random_unitary(4, 1), dim_s=2, dim_e=2)
         model_file = write_json(tmp_path / "m.json", model_to_json(model))
@@ -508,9 +527,6 @@ class TestUsageErrors:
                                "--channel", "amplitude-damping", "--theta", "1")
         assert code == 64
         assert "not both" in err
-
-
-FINITE_RANGE = "logent sweep: error: --theta-start and --theta-end must bound a finite range, got a span of"
 
 
 class TestBadInput:

@@ -47,10 +47,11 @@ FOLDS = {"theorem": min, "prop1": max, "prop2": min, "schmidt": max, "bridge": m
 @pytest.mark.parametrize("suite", SUITES)
 def test_trials_split_by_seed(suite):
     # trial t uses seed + t, and prop1 and prop2 alternate their draws with t's
-    # parity, so a four-trial run decomposes exactly into two two-trial runs
-    four = run_suite(suite, 4, 4, 3, seed=10)
-    first = run_suite(suite, 2, 4, 3, seed=10)
-    second = run_suite(suite, 2, 4, 3, seed=12)
+    # parity, so a four-trial run decomposes exactly into two two-trial runs;
+    # at (6, 4) every suite's two halves differ (at (4, 3) prop1's both read 2**-52)
+    four = run_suite(suite, 4, 6, 4, seed=10)
+    first = run_suite(suite, 2, 6, 4, seed=10)
+    second = run_suite(suite, 2, 6, 4, seed=12)
     assert first["worst_slack"] != second["worst_slack"]  # so that min and max differ
     assert four["worst_slack"] == FOLDS[suite](first["worst_slack"],
                                                second["worst_slack"])
@@ -191,6 +192,14 @@ def test_the_gram_identity_reads_the_environment_state_exchange_reads(monkeypatc
     for record in summary["failed_trials"]:
         (check,) = record["checks"]
         assert "!= off-diagonal weight" in check and check.endswith(" of W")
+
+
+def test_a_measurement_that_leaves_the_state_as_it_is_fails_the_campaign(monkeypatch):
+    # the gain check reads the measured state's purity, and the off-block weight from
+    # rho∘rhoᵀ without the measured state, so a measurement that erases nothing fails it
+    assert run_suite("prop1", 200, 6, 4, 42)["failures"] == 0
+    monkeypatch.setattr(logent.fuzz, "_measured", lambda rho, labels: rho)
+    assert run_suite("prop1", 200, 6, 4, 42)["failures"] > 0
 
 
 @pytest.mark.parametrize("suite, kernel", [("prop1", "_partition_split"), ("prop2", "_mixing_bounds")])
