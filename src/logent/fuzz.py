@@ -20,7 +20,7 @@ with no projector built. A theorem trial reads its unitary's and its
 state's Gaussians, and a prop2 trial all its members', in one read of
 the stream: the numbers separate draws would give. A theorem trial calls
 the public CouplingModel and verify_entropy_bound it checks, and its slack
-must equal sum_{i != j} |W_ij|^2, W exchange_entropy's environment state.
+must equal exchange_entropy's slack on the same state and Kraus stack.
 
 Suite names follow the command-line interface: "theorem" (the off-block
 bound), "prop1" (measurement purity bookkeeping), "prop2" (the mixing
@@ -40,7 +40,7 @@ import math
 
 import numpy as np
 
-from .channels import CouplingModel, _env_state, _kraus_stack, verify_entropy_bound
+from .channels import CouplingModel, _exchange, _kraus_stack, verify_entropy_bound
 from .classical import _bridges, random_distribution, random_partition, validate_distribution
 from .linalg import DEFAULT_TOL, IDENTITY_TOL
 from .measurement import _entropy_gains, _labels, _measured, _nondecreasing, _partition_split, validate_partition
@@ -124,10 +124,10 @@ def fuzz_bound(trials: int, dim_s_max: int, dim_e_max: int, seed: int) -> dict:
     Checks per trial: slack >= -1e-9, the report's two proof steps
     (projected - bound = h(rho) = 0 within the completeness check's slop,
     (1 + 2 ds) 1e-9; output entropy at most the projected entropy, within
-    verify_entropy_bound's tol), and
-    slack = sum_{i != j} |W_ij|^2 (W exchange_entropy's environment state)
-    within 1e-10, which a bound that is too loose fails. Each trial's model
-    and report come from the public CouplingModel and verify_entropy_bound.
+    verify_entropy_bound's tol), and slack = exchange_entropy's slack on the
+    same state and Kraus stack (both sum_{i != j} |W_ij|^2) within 1e-10, which
+    a bound that is too loose fails, and so does an exchange report that is off.
+    Each trial's model and report come from the public CouplingModel and verify_entropy_bound.
     """
     def draw(t, rng):
         ds, de = _dim(rng, dim_s_max), _dim(rng, dim_e_max)
@@ -140,15 +140,15 @@ def fuzz_bound(trials: int, dim_s_max: int, dim_e_max: int, seed: int) -> dict:
         models, rho = [CouplingModel(x, dim_s=ds, dim_e=de) for x in u], _pure_densities(psi)
         r = [verify_entropy_bound(x, model) for x, model in zip(rho, models)]
         slack = np.array([x.slack for x in r])
-        tight = (np.abs(_env_state(rho, _kraus_stack(u, ds)))[:, ~np.eye(de, dtype=bool)] ** 2).sum(axis=1)
+        entropy, bound = _exchange(rho, _kraus_stack(u, ds))  # logent exchange's report, on the raw Kraus stack
         return [slack], [
             _slack_check(slack),
             ([x.projected_equals_bound for x in r],
              lambda m: f"projected {r[m].projected_entropy!r} != bound {r[m].bound!r}"),
             ([x.entropy_le_projected for x in r],
              lambda m: f"entropy {r[m].entropy!r} > projected {r[m].projected_entropy!r}"),
-            (np.abs(slack - tight) <= IDENTITY_TOL,
-             lambda m: f"slack {float(slack[m])!r} != off-diagonal weight {float(tight[m])!r} of W"),
+            (np.abs(slack - (bound - entropy)) <= IDENTITY_TOL,
+             lambda m: f"slack {float(slack[m])!r} != off-diagonal weight {float(bound[m] - entropy[m])!r} of W"),
         ], lambda m: {"state": matrix_to_json(rho[m]), "model": model_to_json(models[m])}
 
     return _campaign("theorem", trials, seed, draw, evaluate)

@@ -5,8 +5,8 @@ import numpy.testing as npt
 import pytest
 
 from logent.amplitude_damping import coupling_model
-from logent.channels import (CouplingModel, _bound_report, _theorem_holds, apply_channel, block_decompose,
-                             completeness_defect, couple, env_kraus, exchange_entropy,
+from logent.channels import (CouplingModel, _bound_report, _gram_defect, _theorem_holds, apply_channel,
+                             block_decompose, completeness_defect, couple, env_kraus, exchange_entropy,
                              extract_kraus, off_block_bound, verify_entropy_bound)
 from logent.linalg import DEFAULT_TOL, partial_trace
 from logent.states import (density_from_pure, logical_entropy, purity,
@@ -139,6 +139,12 @@ class TestBlockedUnitarityCheck:
                 with pytest.raises(ValueError, match="matrix is not unitary: U U† deviates from I by (nan|inf)"):
                     CouplingModel(u, dim_s=2, dim_e=2)
                 assert not completeness_defect(u.reshape(2, 2, 4)) <= 1.0
+
+    def test_the_check_makes_no_copy_of_the_matrix(self, peak_bytes):
+        # each row block is conjugated on its own: a few 128 x 1024 arrays, where a conjugate
+        # copy of the whole 16 MiB matrix put the peak at 19.75 MiB
+        u = random_unitary(1024, 1)
+        assert peak_bytes(lambda: _gram_defect(u)) < 8 << 20
 
 
 class TestCouple:

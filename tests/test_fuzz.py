@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import json
 import math
 
@@ -6,6 +7,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+import logent.channels
 import logent.fuzz
 from logent.fuzz import (SUITES, fuzz_bound, fuzz_bridge, fuzz_measurement,
                          fuzz_mixing, fuzz_schmidt, run_suite)
@@ -176,22 +178,37 @@ def test_one_nan_slack_wins_the_fold(monkeypatch):
     assert summary["worst_slack"] is None  # one NaN among finite slacks still wins
 
 
-def test_the_gram_identity_reads_the_environment_state_exchange_reads(monkeypatch):
-    # the theorem suite's slack == sum_{i != j} |W_ij|^2 reads exchange_entropy's W helper,
-    # so a W that drops its conjugate fails the campaign, which passes with the real one
-    assert logent.fuzz._env_state is logent.channels._env_state
+def edited_exchange(old, new):
+    """channels._exchange with the one source edit old -> new: a mutant of the kernel."""
+    source = inspect.getsource(logent.channels._exchange)
+    assert source.count(old) == 1
+    namespace = dict(vars(logent.channels))
+    exec(source.replace(old, new), namespace)
+    return namespace["_exchange"]
+
+
+def test_the_slack_identity_reads_the_kernel_exchange_entropy_reads(monkeypatch):
+    # the theorem suite's slack == bound - entropy reads exchange_entropy's own kernel on the
+    # raw Kraus stack, so a W that drops its conjugate fails the campaign, which passes with the real one
+    assert logent.fuzz._exchange is logent.channels._exchange
     assert fuzz_bound(50, 4, 3, 0)["failures"] == 0
-
-    def no_conj(rho, ops):
-        flat = ops.reshape(*ops.shape[:-2], -1)
-        return (ops @ rho[..., None, :, :]).reshape(flat.shape) @ flat.swapaxes(-1, -2)
-
-    monkeypatch.setattr(logent.fuzz, "_env_state", no_conj)
+    monkeypatch.setattr(logent.fuzz, "_exchange", edited_exchange("flat.conj()", "flat"))
     summary = fuzz_bound(50, 4, 3, 0)
     assert summary["failures"] > 0
     for record in summary["failed_trials"]:
         (check,) = record["checks"]
         assert "!= off-diagonal weight" in check and check.endswith(" of W")
+
+
+@pytest.mark.parametrize("old, new", [
+    ("_purities(w)", "(w * w).sum(axis=(-2, -1)).real"),  # the purity of W without its conjugate
+    ("(p * p.swapaxes(-1, -2))", "1.5 * (p * p.swapaxes(-1, -2))"),  # the exchange bound x 1.5
+], ids=["exchange_entropy_no_conj", "exchange_bound_loose"])
+def test_an_exchange_report_mutant_fails_the_theorem_campaign(old, new, monkeypatch):
+    # each fails all 200 trials: the slack identity checks exchange_entropy's arithmetic on every trial
+    assert run_suite("theorem", 200, 6, 4, 42)["failures"] == 0
+    monkeypatch.setattr(logent.fuzz, "_exchange", edited_exchange(old, new))
+    assert run_suite("theorem", 200, 6, 4, 42)["failures"] >= 190
 
 
 def test_a_measurement_that_leaves_the_state_as_it_is_fails_the_campaign(monkeypatch):
