@@ -88,9 +88,9 @@ def bridge_entropies(probs, blocks) -> tuple[float, float]:
     """(partition entropy, post-measurement entropy) of (p, blocks).
 
     The quantum side encodes p as the pure state sum_k sqrt(p_k)|k>,
-    measures the partition's projectors and takes h of the result. p is
-    used exactly as given (partition_entropy validates it); pass it
-    through validate_distribution first to renormalize.
+    measures the partition's projectors and takes h of the result. The
+    classical side reads p renormalized by validate_distribution, the quantum
+    side p as given; bridge_check renormalizes p first, so both read one p.
     """
     h_classical, h_quantum = _bridges(np.asarray(probs, dtype=float).reshape(1, -1), [blocks])
     return float(h_classical[0]), float(h_quantum[0])

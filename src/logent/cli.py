@@ -246,7 +246,8 @@ def _cmd_prop1(parser, args) -> tuple[int, dict]:
     residual = abs(pur - (projected_purity + mass))
     payload = {"purity": pur, "projected_purity": projected_purity,
                "off_block_mass": mass, "identity_residual": residual}
-    return (EXIT_OK if residual <= IDENTITY_TOL else EXIT_CONTRADICTION), payload
+    skew = rho - rho.conj().T  # purity sums ||rho||_F^2, the split Re tr(rho^2): they differ by ½||skew||_F^2
+    return (EXIT_OK if residual <= IDENTITY_TOL + 0.5 * np.vdot(skew, skew).real else EXIT_CONTRADICTION), payload
 
 
 def _cmd_prop2(parser, args) -> tuple[int, dict]:

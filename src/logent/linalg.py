@@ -9,6 +9,7 @@ IDENTITY_TOL, ROUNDING_TOL and NORM_TOL. Three gates check input: a scalar
 check that raises goes through _require, a stacked one through _first, and a
 NaN fails both; a matrix's shape against a space's dimension and the
 positivity of a joint space's factor dimensions are checked by _on_space.
+Only _hermiticity_defects judges Hermiticity; ROUNDING_TOL judges no input.
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ import numpy as np
 
 DEFAULT_TOL = 1e-9  # validation, the CLI's --tol default, and how far a slack may fall below zero
 IDENTITY_TOL = 1e-10  # the largest residual of a guaranteed identity
-ROUNDING_TOL = 1e-12  # two routes to one sum agree, or rounding alone leaves a residue
+ROUNDING_TOL = 1e-12  # two routes to one sum agree
 NORM_TOL = 1e-6  # how far a state vector's norm may be from 1 and still be renormalized
 
 

@@ -19,8 +19,8 @@ from __future__ import annotations
 import numpy as np
 
 from .channels import apply_channel
-from .linalg import (DEFAULT_TOL, IDENTITY_TOL, ROUNDING_TOL, _first, _hermiticity_defects, _matrix_stack,
-                     _on_space, _require, as_complex_matrix)
+from .linalg import (DEFAULT_TOL, IDENTITY_TOL, _first, _hermiticity_defects, _matrix_stack, _on_space, _require,
+                     as_complex_matrix)
 from .states import _purities
 
 
@@ -110,15 +110,15 @@ def purity_decomposition(rho, ps) -> tuple[float, float]:
     (tr(rho_hat^2), mass) with mass = sum_{i != j} ||P_i rho P_j||_F^2,
     so that tr(rho^2) = tr(rho_hat^2) + mass exactly. For a basis
     partition, mass is the sum of |rho_ab|^2 over the entries whose row
-    and column fall in different blocks. The cross-pair sum is formed in
-    complex arithmetic first; a nonreal residue above 1e-12 signals a
-    non-Hermitian input and is a hard error rather than something to
-    discard.
+    and column fall in different blocks. After the projectors and the
+    dimensions, rho is checked Hermitian within DEFAULT_TOL, as
+    entropy_gain checks it; the split then reads Re tr(rho^2).
     """
     rho = as_complex_matrix(rho)
     ps = validate_projectors(ps)
     _on_space(rho, ps.shape[1], "projector space")
-    with np.errstate(invalid="ignore", over="ignore"):  # an inf state leaves a NaN residue, which fails
+    with np.errstate(invalid="ignore", over="ignore"):  # an inf state fails the check; a huge one overflows quietly
+        _require(_hermiticity_defects(rho), DEFAULT_TOL, "state not Hermitian: defect {:.3e}")
         y = ps @ rho  # sum_i y_i∘y_iᵀ sums to sum_i W_ii; tr(rho^2) less that is sum_{i != j} W_ij
         projected, mass = _purity_split(rho * rho.T, (y * y.swapaxes(-1, -2)).sum(axis=0))
     return float(projected), float(mass)
@@ -131,13 +131,9 @@ def _partition_split(rho: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, n
 
 
 def _purity_split(m: np.ndarray, kept: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """purity_decomposition's (projected, mass) from m = rho∘rhoᵀ and its within-block part kept."""
+    """purity_decomposition's (projected, mass), summing to Re tr(rho^2), from m = rho∘rhoᵀ and its part kept."""
     # one C-ordered row per state, so each sum runs as it does for a single state
     projected, pair = (x.reshape(*m.shape[:-2], -1).sum(axis=-1) for x in (kept, m - kept))
-    bad = _first(np.abs(pair.imag) <= ROUNDING_TOL)  # a NaN residue fails
-    if bad < pair.size:
-        raise ValueError(f"off-block pair sum has imaginary residue {pair.reshape(-1)[bad].imag:.3e}; "
-                         "input not Hermitian")
     return projected.real, pair.real
 
 

@@ -149,12 +149,20 @@ class TestBound:
         ("--tol", "1e-4", "sweep", "--state", "{skew_plus}", "--steps", "3"),
         ("--tol", "1e-4", "bound", "--state", "{skew_mixed}", "--channel", "amplitude-damping", "--theta", "0.3"),
         ("--tol", "1e-4", "sweep", "--state", "{skew_mixed}", "--steps", "3"),
+        ("--tol", "0", "prop1", "--state", "{exact}", "--partition", "{part}"),
+        ("--tol", "1e-6", "prop1", "--state", "{drift}", "--partition", "{part}"),
+        ("--tol", "1e-4", "prop1", "--state", "{skew_plus}", "--partition", "{part}"),
+        ("--tol", "1e-4", "prop1", "--state", "{skew_mixed}", "--partition", "{part}"),
+        ("prop1", "--state", "{imaginary}", "--partition", "{part}"),
     ], ids=["bound-tol-0", "sweep-tol-0", "exchange-tol-0", "bound-drift", "sweep-drift",
-            "bound-skew-plus", "sweep-skew-plus", "bound-skew-mixed", "sweep-skew-mixed"])
+            "bound-skew-plus", "sweep-skew-plus", "bound-skew-mixed", "sweep-skew-mixed",
+            "prop1-tol-0", "prop1-drift", "prop1-skew-plus", "prop1-skew-mixed", "prop1-imaginary-defect"])
     def test_valid_input_exits_0(self, capsys, tmp_path, plus_state, argv):
         # exact: a seeded mixed state, exactly Hermitian and of exact unit trace;
         # drift: |+><+| scaled to trace 1 + 8e-7, so h(rho) is -1.6e-6;
-        # skew: a Hermiticity defect of 9e-5, within --tol 1e-4, on |+><+| and on a mixed state
+        # skew: a Hermiticity defect of 9e-5, within --tol 1e-4, on |+><+| and on a mixed state;
+        # imaginary: |+><+| with 1e-10i on one off-diagonal entry, within the default --tol.
+        # prop1's split sums Re tr(rho^2), which a skew state puts ½||rho - rho†||_F^2 below its purity
         exact = random_density(2, 6)
         exact = (exact + exact.conj().T) / 2
         exact[1, 1] = 1.0 - exact[0, 0]
@@ -166,7 +174,10 @@ class TestBound:
                  "skew_plus": write_json(tmp_path / "skew_plus.json",
                                          matrix_to_json(np.full((2, 2), 0.5, dtype=complex) + skew)),
                  "skew_mixed": write_json(tmp_path / "skew_mixed.json",
-                                          matrix_to_json(np.array([[0.7, 0.2], [0.2, 0.3]], dtype=complex) + skew))}
+                                          matrix_to_json(np.array([[0.7, 0.2], [0.2, 0.3]], dtype=complex) + skew)),
+                 "imaginary": write_json(tmp_path / "imaginary.json",
+                                         matrix_to_json(np.array([[0.5, 0.5], [0.5 + 1e-10j, 0.5]]))),
+                 "part": write_json(tmp_path / "part.json", {"blocks": [[0], [1]]})}
         code, out, err = run_cli(capsys, *(a.format(**files) for a in argv))
         assert (code, err) == (0, "") and out
 
@@ -256,6 +267,24 @@ class TestProp1:
 
         monkeypatch.setattr(logent.measurement, "validate_projectors", refuse)
         assert run_cli(capsys, "prop1", "--state", state, "--partition", part) == (0, want, "")
+
+    def test_forged_split_of_a_hermitian_state_exits_2(self, capsys, monkeypatch, tmp_path):
+        # the verdict admits ½||rho - rho†||_F^2, which is 0.0 here, so a split off by 1e-9 is a contradiction
+        rho = random_density(3, 7)
+        rho = (rho + rho.conj().T) / 2
+        assert np.array_equal(rho, rho.conj().T)
+        real = logent.cli._partition_split
+
+        def forged(rho, labels):
+            projected, mass = real(rho, labels)
+            return projected, mass + 1e-9
+
+        monkeypatch.setattr(logent.cli, "_partition_split", forged)
+        state = write_json(tmp_path / "rho.json", matrix_to_json(rho))
+        part = write_json(tmp_path / "part.json", {"blocks": [[0], [1, 2]]})
+        code, out, err = run_cli(capsys, "prop1", "--state", state, "--partition", part)
+        assert (code, err) == (2, "")
+        assert abs(json.loads(out)["identity_residual"] - 1e-9) < 1e-12
 
     def test_out_of_memory_exits_1_with_one_error_line(self, capsys, monkeypatch, plus_state, tmp_path):
         # numpy's _ArrayMemoryError is a MemoryError: a (512, 512, 512) complex stack asks for 2 GiB

@@ -68,7 +68,7 @@ NORM_INF = re.escape("state vector norm inf deviates from 1")
     (lambda: validate_projectors([np.array([[1e200]])]), ValueError, "projector 0 is not idempotent"),
     (lambda: block_decompose(np.full((4, 4), np.inf), 2, 2), ValueError, "joint state not Hermitian: defect nan"),
     (lambda: purity_decomposition(INF_STATE, projectors_from_partition([[0], [1]], 2)), ValueError,
-     "imaginary residue nan"),
+     "state not Hermitian: defect nan"),
     (lambda: density_from_pure([1e200, 1e200]), ValueError, NORM_INF),
     (lambda: schmidt_entropy_pair([1e200, 1e200, 0, 0], 2, 2), ValueError, NORM_INF),
 ], ids=["density-inf", "density-huge", "ensemble-inf", "projector-inf", "projector-huge", "block-decompose-inf",
